@@ -2,7 +2,8 @@
 # Full verification: configure, build, run every test, every benchmark and
 # every example. Exits non-zero on the first failure.
 #
-#   scripts/check.sh            normal mode
+#   scripts/check.sh            normal mode (includes the bench_e2e smoke
+#                               test, `ctest -L bench` in .bench_build/)
 #   scripts/check.sh sanitize   ASan+UBSan build (separate build dir,
 #                               tests only, selected via `ctest -L sanitize`)
 #   scripts/check.sh chaos      fault-tolerance suite (`ctest -L chaos`)
@@ -104,6 +105,12 @@ fi
 cmake -B build -G Ninja
 cmake --build build
 ctest --test-dir build --output-on-failure
+
+# The wall-clock benchmark's smoke run (its own CMake project): traced,
+# forced-executor and isolated results must be bit-identical.
+cmake -S bench_e2e -B .bench_build -DCMAKE_BUILD_TYPE=Release
+cmake --build .bench_build -j
+ctest --test-dir .bench_build -L bench --output-on-failure
 
 for b in build/bench/bench_*; do
   [ -x "$b" ] || continue

@@ -1,8 +1,7 @@
 #include "dynamic/delta_join.h"
 
-#include <algorithm>
-#include <cmath>
 #include <map>
+#include <memory>
 #include <utility>
 
 #include "join/hhnl.h"
@@ -13,10 +12,6 @@
 namespace textjoin {
 
 namespace {
-
-bool IsLive(const DynamicJoinSide& side, DocId id) {
-  return side.alive == nullptr || (*side.alive)[id] != 0;
-}
 
 int64_t LiveBaseCount(const DynamicJoinSide& side) {
   if (side.alive == nullptr) return side.base->num_documents();
@@ -39,31 +34,19 @@ std::vector<DocId> LiveSubset(const DynamicJoinSide& side) {
   return ids;
 }
 
-// Base norms (computed by the static path's own scan, under the merged
-// idf) extended with delta-document norms evaluated with the identical
-// per-cell expression, so every norm matches a from-scratch rebuild's bit
-// for bit.
-Result<DocumentNorms> MergedNorms(const DynamicJoinSide& side,
-                                  const IdfWeights& idf,
-                                  const SimilarityConfig& config) {
-  if (!config.cosine_normalize) return DocumentNorms();
-  TEXTJOIN_ASSIGN_OR_RETURN(DocumentNorms base,
+// Base norms (DocumentNorms::Create's catalog read or scan) extended with
+// the delta documents' norms under the same idf.
+Result<DocumentNorms> ViewNorms(const DynamicJoinSide& side,
+                                const IdfWeights& idf,
+                                const SimilarityConfig& config) {
+  TEXTJOIN_ASSIGN_OR_RETURN(DocumentNorms norms,
                             DocumentNorms::Create(*side.base, idf, config));
-  std::vector<double> norms = base.values();
-  for (const Document* d : side.delta) {
-    if (!config.use_idf) {
-      norms.push_back(d->Norm());
-    } else {
-      double s = 0;
-      for (const DCell& c : d->cells()) {
-        double w2 = static_cast<double>(c.weight) *
-                    static_cast<double>(c.weight) * idf.Squared(c.term);
-        s += w2;
-      }
-      norms.push_back(std::sqrt(s));
+  if (config.cosine_normalize) {
+    for (const Document* d : side.delta) {
+      norms.Append(WeightedNorm(d->cells(), idf));
     }
   }
-  return DocumentNorms::FromVector(std::move(norms));
+  return norms;
 }
 
 // term -> [(delta position, weight)], term-sorted.
@@ -79,9 +62,11 @@ DeltaIndex BuildDeltaIndex(const std::vector<const Document*>& delta) {
   return index;
 }
 
-Result<JoinResult> RunForced(Algorithm algo, const JoinContext& ctx,
-                             const JoinSpec& spec) {
-  switch (algo) {
+Result<JoinResult> RunBase(const JoinContext& ctx, const JoinSpec& spec,
+                           PlanChoice* chosen, const Algorithm* force) {
+  if (force == nullptr) return JoinPlanner().Execute(ctx, spec, chosen);
+  if (chosen != nullptr) chosen->algorithm = *force;
+  switch (*force) {
     case Algorithm::kHhnl:
       return HhnlJoin().Run(ctx, spec);
     case Algorithm::kHvnl:
@@ -92,21 +77,53 @@ Result<JoinResult> RunForced(Algorithm algo, const JoinContext& ctx,
   return Status::InvalidArgument("unknown algorithm");
 }
 
+// What a frozen view owns: the pinned base generation and copies of the
+// collection state that later mutations change.
+struct FrozenState {
+  std::shared_ptr<const DocumentCollection> base;
+  std::shared_ptr<const InvertedFile> index;
+  std::vector<char> alive;
+  std::vector<Document> delta;
+  std::shared_ptr<const void> df;
+};
+
 }  // namespace
 
 DynamicJoinSide MakeJoinSide(const DynamicCollection& dc) {
+  auto df = std::make_shared<const std::unordered_map<TermId, int64_t>>(
+      dc.MergedDfMap());
   DynamicJoinSide side;
   side.base = &dc.base();
   side.index = &dc.base_index();
-  if (dc.num_live_documents() <
-      dc.base().num_documents() +
-          static_cast<int64_t>(dc.AliveDelta().size())) {
-    side.alive = &dc.base_alive();
-  }
   for (const DynamicCollection::DeltaDoc* d : dc.AliveDelta()) {
     side.delta.push_back(&d->doc);
   }
-  side.df = dc.MergedDfMap();
+  side.num_live = dc.num_live_documents();
+  if (side.num_live < dc.base().num_documents() +
+                          static_cast<int64_t>(side.delta.size())) {
+    side.alive = &dc.base_alive();
+  }
+  side.df = df.get();
+  side.owned = std::move(df);
+  return side;
+}
+
+DynamicJoinSide FrozenJoinSide(const DynamicCollection& dc) {
+  DynamicJoinSide side = MakeJoinSide(dc);
+  auto state = std::make_shared<FrozenState>();
+  state->base = dc.base_shared();
+  state->index = dc.index_shared();
+  if (side.alive != nullptr) {
+    state->alive = *side.alive;
+    side.alive = &state->alive;
+  }
+  state->delta.reserve(side.delta.size());
+  for (const Document*& d : side.delta) {
+    state->delta.push_back(*d);
+    d = &state->delta.back();
+  }
+  state->df = std::move(side.owned);
+  side.owned = std::move(state);
   return side;
 }
 
@@ -115,8 +132,54 @@ DynamicJoinSide MakeJoinSide(const DocumentCollection& base,
   DynamicJoinSide side;
   side.base = &base;
   side.index = index;
-  side.df = base.doc_freq_map();
+  side.df = &base.doc_freq_map();
+  side.num_live = base.num_documents();
   return side;
+}
+
+Result<SimilarityContext> ViewSimilarity(const DynamicJoinSide& inner,
+                                         const DynamicJoinSide* outer,
+                                         const SimilarityConfig& config) {
+  SimilarityContext sim;
+  sim.config = config;
+  const int64_t n_total =
+      inner.num_live + (outer != nullptr ? outer->num_live : 0);
+  const IdfWeights::DfMap* df1 = inner.df;
+  const IdfWeights::DfMap* df2 = outer != nullptr ? outer->df : nullptr;
+  if (config.use_idf && df2 != nullptr &&
+      (inner.owned != nullptr || outer->owned != nullptr)) {
+    // A dynamic side's df map is a per-join copy already; folding both
+    // sides into one keeps TermFactor at a single lookup in the join's
+    // inner loops. Static x static borrows both catalogs instead.
+    auto merged = std::make_shared<IdfWeights::DfMap>(*df1);
+    for (const auto& [term, n] : *df2) (*merged)[term] += n;
+    df1 = merged.get();
+    df2 = nullptr;
+    sim.owned = std::move(merged);
+  }
+  sim.idf = IdfWeights(static_cast<double>(n_total), df1, df2,
+                       config.use_idf);
+  TEXTJOIN_ASSIGN_OR_RETURN(sim.inner_norms,
+                            ViewNorms(inner, sim.idf, config));
+  if (outer != nullptr) {
+    TEXTJOIN_ASSIGN_OR_RETURN(sim.outer_norms,
+                              ViewNorms(*outer, sim.idf, config));
+  }
+  return sim;
+}
+
+JoinContext ViewContext(const DynamicJoinSide& inner,
+                        const DynamicJoinSide& outer,
+                        const SimilarityContext* similarity,
+                        const SystemParams& sys) {
+  JoinContext ctx;
+  ctx.inner = inner.base;
+  ctx.outer = outer.base;
+  ctx.inner_index = inner.index;
+  ctx.outer_index = outer.index;
+  ctx.similarity = similarity;
+  ctx.sys = sys;
+  return ctx;
 }
 
 Result<JoinResult> DynamicJoin(const DynamicJoinSide& inner,
@@ -124,61 +187,60 @@ Result<JoinResult> DynamicJoin(const DynamicJoinSide& inner,
                                const JoinSpec& spec, const SystemParams& sys,
                                QueryGovernor* governor, PlanChoice* chosen,
                                const Algorithm* force) {
-  if (!spec.outer_subset.empty() || !spec.inner_subset.empty()) {
+  TEXTJOIN_ASSIGN_OR_RETURN(SimilarityContext sim,
+                            ViewSimilarity(inner, &outer, spec.similarity));
+  JoinContext ctx = ViewContext(inner, outer, &sim, sys);
+  ctx.governor = governor;
+  return JoinViews(inner, outer, ctx, spec, chosen, force);
+}
+
+Result<JoinResult> JoinViews(const DynamicJoinSide& inner_view,
+                             const DynamicJoinSide& outer_view,
+                             const JoinContext& ctx, const JoinSpec& spec,
+                             PlanChoice* chosen, const Algorithm* force) {
+  if ((!inner_view.clean() && !spec.inner_subset.empty()) ||
+      (!outer_view.clean() && !spec.outer_subset.empty())) {
     return Status::InvalidArgument(
-        "document subsets are not supported on dynamic joins");
+        "document subsets are not supported on a collection with a delta "
+        "or deletions");
   }
+  if (inner_view.clean() && outer_view.clean()) {
+    return RunBase(ctx, spec, chosen, force);
+  }
+  TEXTJOIN_RETURN_IF_ERROR(ValidateJoinInputs(ctx, spec));
+  // A clean side's subset narrows its participating base documents exactly
+  // like liveness does, so it becomes that side's mask.
+  DynamicJoinSide inner = inner_view;
+  DynamicJoinSide outer = outer_view;
+  auto narrow = [](const std::vector<DocId>& subset, DynamicJoinSide* side,
+                   std::vector<char>* mask) {
+    if (subset.empty()) return;
+    mask->assign(static_cast<size_t>(side->base->num_documents()), 0);
+    for (DocId d : subset) (*mask)[d] = 1;
+    side->alive = mask;
+  };
+  std::vector<char> inner_mask;
+  std::vector<char> outer_mask;
+  narrow(spec.inner_subset, &inner, &inner_mask);
+  narrow(spec.outer_subset, &outer, &outer_mask);
+  const SimilarityContext& sim = *ctx.similarity;
   const int64_t inner_base_n = inner.base->num_documents();
   const int64_t outer_base_n = outer.base->num_documents();
   const int64_t inner_live_base = LiveBaseCount(inner);
   const int64_t outer_live_base = LiveBaseCount(outer);
-  const int64_t n_total_live =
-      inner_live_base + static_cast<int64_t>(inner.delta.size()) +
-      outer_live_base + static_cast<int64_t>(outer.delta.size());
-
-  // Merged live statistics drive idf and norms — the same formulas the
-  // static path evaluates over rebuilt collections.
-  SimilarityContext sim;
-  sim.config = spec.similarity;
-  {
-    std::unordered_map<TermId, int64_t> df = inner.df;
-    for (const auto& [term, n] : outer.df) df[term] += n;
-    sim.idf = IdfWeights::FromMergedStats(static_cast<double>(n_total_live),
-                                          std::move(df),
-                                          spec.similarity.use_idf);
-  }
-  TEXTJOIN_ASSIGN_OR_RETURN(sim.inner_norms,
-                            MergedNorms(inner, sim.idf, spec.similarity));
-  TEXTJOIN_ASSIGN_OR_RETURN(sim.outer_norms,
-                            MergedNorms(outer, sim.idf, spec.similarity));
 
   // Base x base through the unmodified executor, liveness as subsets.
-  JoinContext ctx;
-  ctx.inner = inner.base;
-  ctx.outer = outer.base;
-  ctx.inner_index = inner.index;
-  ctx.outer_index = outer.index;
-  ctx.similarity = &sim;
-  ctx.sys = sys;
-  ctx.governor = governor;
-
   Algorithm algo = force != nullptr ? *force : Algorithm::kHhnl;
   JoinResult base_rows;
   if (inner_live_base > 0 && outer_live_base > 0) {
     JoinSpec base_spec = spec;
     base_spec.inner_subset = LiveSubset(inner);
     base_spec.outer_subset = LiveSubset(outer);
-    if (force != nullptr) {
-      TEXTJOIN_ASSIGN_OR_RETURN(base_rows, RunForced(*force, ctx, base_spec));
-      if (chosen != nullptr) chosen->algorithm = *force;
-    } else {
-      JoinPlanner planner;
-      PlanChoice plan;
-      TEXTJOIN_ASSIGN_OR_RETURN(base_rows,
-                                planner.Execute(ctx, base_spec, &plan));
-      algo = plan.algorithm;
-      if (chosen != nullptr) *chosen = plan;
-    }
+    PlanChoice plan;
+    TEXTJOIN_ASSIGN_OR_RETURN(base_rows,
+                              RunBase(ctx, base_spec, &plan, force));
+    algo = plan.algorithm;
+    if (chosen != nullptr) *chosen = plan;
   }
 
   const DeltaIndex inner_delta_index = BuildDeltaIndex(inner.delta);
@@ -200,7 +262,7 @@ Result<JoinResult> DynamicJoin(const DynamicJoinSide& inner,
         const double factor = sim.TermFactor(term);
         TEXTJOIN_ASSIGN_OR_RETURN(std::vector<ICell> cells, scanner.Next());
         for (const ICell& ic : cells) {
-          if (!IsLive(outer, ic.doc)) continue;
+          if (!outer.live(ic.doc)) continue;
           std::vector<double>& acc = base_outer_delta_acc[ic.doc];
           acc.resize(inner.delta.size(), 0.0);
           for (const auto& [j, w] : it->second) {
@@ -215,7 +277,7 @@ Result<JoinResult> DynamicJoin(const DynamicJoinSide& inner,
       while (!scanner.Done()) {
         const DocId o = scanner.next_doc();
         TEXTJOIN_ASSIGN_OR_RETURN(Document doc, scanner.Next());
-        if (!IsLive(outer, o)) continue;
+        if (!outer.live(o)) continue;
         std::vector<double> acc;
         for (const DCell& c : doc.cells()) {
           auto it = inner_delta_index.find(c.term);
@@ -237,7 +299,7 @@ Result<JoinResult> DynamicJoin(const DynamicJoinSide& inner,
   JoinResult out;
   size_t bi = 0;
   for (int64_t o = 0; o < outer_base_n; ++o) {
-    if (!IsLive(outer, static_cast<DocId>(o))) continue;
+    if (!outer.live(static_cast<DocId>(o))) continue;
     OuterMatches row;
     row.outer_doc = static_cast<DocId>(o);
     const OuterMatches* base_row = nullptr;
@@ -288,7 +350,7 @@ Result<JoinResult> DynamicJoin(const DynamicJoinSide& inner,
           TEXTJOIN_ASSIGN_OR_RETURN(std::vector<ICell> icells,
                                     scanner.Next());
           for (const ICell& ic : icells) {
-            if (!IsLive(inner, ic.doc)) continue;
+            if (!inner.live(ic.doc)) continue;
             acc_base[ic.doc] += static_cast<double>(cells[ci].weight) *
                                 static_cast<double>(ic.weight) * factor;
           }
@@ -300,7 +362,7 @@ Result<JoinResult> DynamicJoin(const DynamicJoinSide& inner,
           TEXTJOIN_ASSIGN_OR_RETURN(std::vector<ICell> icells,
                                     inner.index->FetchEntry(c.term));
           for (const ICell& ic : icells) {
-            if (!IsLive(inner, ic.doc)) continue;
+            if (!inner.live(ic.doc)) continue;
             acc_base[ic.doc] += static_cast<double>(c.weight) *
                                 static_cast<double>(ic.weight) * factor;
           }
@@ -310,33 +372,24 @@ Result<JoinResult> DynamicJoin(const DynamicJoinSide& inner,
         while (!scanner.Done()) {
           const DocId i = scanner.next_doc();
           TEXTJOIN_ASSIGN_OR_RETURN(Document doc, scanner.Next());
-          if (!IsLive(inner, i)) continue;
+          if (!inner.live(i)) continue;
           acc_base[i] = WeightedDot(doc, od, sim);
         }
       }
     }
-    std::vector<double> acc_delta(inner.delta.size(), 0.0);
-    for (const DCell& c : od.cells()) {
-      auto it = inner_delta_index.find(c.term);
-      if (it == inner_delta_index.end()) continue;
-      const double factor = sim.TermFactor(c.term);
-      for (const auto& [j, w] : it->second) {
-        acc_delta[j] += static_cast<double>(c.weight) *
-                        static_cast<double>(w) * factor;
-      }
-    }
     TopKAccumulator heap(spec.lambda);
     for (int64_t i = 0; i < inner_base_n; ++i) {
-      if (!IsLive(inner, static_cast<DocId>(i))) continue;
+      if (!inner.live(static_cast<DocId>(i))) continue;
       const double acc = acc_base[i];
       if (acc <= 0) continue;
       heap.Add(static_cast<DocId>(i),
                sim.Finalize(acc, static_cast<DocId>(i), merged_o));
     }
-    for (size_t j = 0; j < acc_delta.size(); ++j) {
-      if (acc_delta[j] <= 0) continue;
+    for (size_t j = 0; j < inner.delta.size(); ++j) {
+      const double acc = WeightedDot(od, *inner.delta[j], sim);
+      if (acc <= 0) continue;
       const DocId merged_i = static_cast<DocId>(inner_base_n + j);
-      heap.Add(merged_i, sim.Finalize(acc_delta[j], merged_i, merged_o));
+      heap.Add(merged_i, sim.Finalize(acc, merged_i, merged_o));
     }
     OuterMatches row;
     row.outer_doc = merged_o;

@@ -32,34 +32,33 @@ thread_local MergeScratch g_merge_scratch;
 IdfWeights::IdfWeights(const DocumentCollection& c1,
                        const DocumentCollection& c2,
                        const SimilarityConfig& config)
-    : enabled_(config.use_idf),
-      n_total_(static_cast<double>(c1.num_documents() + c2.num_documents())),
-      c1_(&c1),
-      c2_(&c2) {}
+    : IdfWeights(static_cast<double>(c1.num_documents() + c2.num_documents()),
+                 &c1.doc_freq_map(), &c2.doc_freq_map(), config.use_idf) {}
 
-IdfWeights IdfWeights::FromMergedStats(
-    double n_total, std::unordered_map<TermId, int64_t> df, bool enabled) {
-  IdfWeights w;
-  w.enabled_ = enabled;
-  w.n_total_ = n_total;
-  w.use_merged_ = true;
-  w.merged_df_ = std::move(df);
-  return w;
-}
+IdfWeights::IdfWeights(double n_total, const DfMap* df1, const DfMap* df2,
+                       bool enabled)
+    : enabled_(enabled), n_total_(n_total), df1_(df1), df2_(df2) {}
 
 double IdfWeights::Squared(TermId term) const {
   if (!enabled_) return 1.0;
-  double df;
-  if (use_merged_) {
-    auto it = merged_df_.find(term);
-    df = it == merged_df_.end() ? 0.0 : static_cast<double>(it->second);
-  } else {
-    df = static_cast<double>(c1_->DocumentFrequency(term) +
-                             c2_->DocumentFrequency(term));
+  int64_t n = 0;
+  if (auto it = df1_->find(term); it != df1_->end()) n = it->second;
+  if (df2_ != nullptr) {
+    if (auto it = df2_->find(term); it != df2_->end()) n += it->second;
   }
+  const double df = static_cast<double>(n);
   if (df <= 0) return 0.0;
   double idf = std::log(1.0 + n_total_ / df);
   return idf * idf;
+}
+
+double WeightedNorm(const std::vector<DCell>& cells, const IdfWeights& idf) {
+  double s = 0;
+  for (const DCell& c : cells) {
+    s += static_cast<double>(c.weight) * static_cast<double>(c.weight) *
+         idf.Squared(c.term);
+  }
+  return std::sqrt(s);
 }
 
 Result<DocumentNorms> DocumentNorms::Create(
@@ -79,21 +78,9 @@ Result<DocumentNorms> DocumentNorms::Create(
   auto scanner = collection.Scan();
   while (!scanner.Done()) {
     TEXTJOIN_ASSIGN_OR_RETURN(Document doc, scanner.Next());
-    double s = 0;
-    for (const DCell& c : doc.cells()) {
-      double w2 = static_cast<double>(c.weight) *
-                  static_cast<double>(c.weight) * idf.Squared(c.term);
-      s += w2;
-    }
-    norms.norms_.push_back(std::sqrt(s));
+    norms.norms_.push_back(WeightedNorm(doc.cells(), idf));
   }
   return norms;
-}
-
-DocumentNorms DocumentNorms::FromVector(std::vector<double> norms) {
-  DocumentNorms n;
-  n.norms_ = std::move(norms);
-  return n;
 }
 
 Result<SimilarityContext> SimilarityContext::Create(

@@ -2,6 +2,7 @@
 #define TEXTJOIN_JOIN_SIMILARITY_H_
 
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -32,19 +33,17 @@ struct SimilarityConfig {
 // system metadata the paper assumes are kept anyway).
 class IdfWeights {
  public:
+  using DfMap = std::unordered_map<TermId, int64_t>;
+
   IdfWeights() = default;
   IdfWeights(const DocumentCollection& c1, const DocumentCollection& c2,
              const SimilarityConfig& config);
-
-  // Weights over explicitly merged statistics instead of two catalogs:
-  // `df` maps term -> combined live document frequency and `n_total` is
-  // the combined live document count. Dynamic collections use this to
-  // score base + delta + deletes with the exact formula above, so scores
-  // are bit-identical to a from-scratch rebuild (same df, same N, same
-  // expression).
-  static IdfWeights FromMergedStats(double n_total,
-                                    std::unordered_map<TermId, int64_t> df,
-                                    bool enabled);
+  // Weights over `n_total` documents whose df is df1(t) + df2(t). The maps
+  // are borrowed and must outlive the weights; df2 may be null (one side).
+  // Collection views (dynamic/delta_join.h) pass their live statistics, so
+  // base + delta + deletes score with the exact formula above.
+  IdfWeights(double n_total, const DfMap* df1, const DfMap* df2,
+             bool enabled);
 
   // Squared idf of `term` (1.0 when idf weighting is off).
   double Squared(TermId term) const;
@@ -54,11 +53,14 @@ class IdfWeights {
  private:
   bool enabled_ = false;
   double n_total_ = 0;
-  const DocumentCollection* c1_ = nullptr;
-  const DocumentCollection* c2_ = nullptr;
-  bool use_merged_ = false;
-  std::unordered_map<TermId, int64_t> merged_df_;
+  const DfMap* df1_ = nullptr;
+  const DfMap* df2_ = nullptr;
 };
+
+// Cosine norm of one document under `idf`: sqrt of the sum of
+// w * w * idf(t)^2 in ascending term order. With idf off this is
+// Document::Norm, the catalog's raw norm (w * w * 1.0 == w * w).
+double WeightedNorm(const std::vector<DCell>& cells, const IdfWeights& idf);
 
 // Precomputed document norms of a collection under `config` (all 1.0 when
 // cosine normalization is off). Raw norms come from the collection catalog
@@ -72,15 +74,13 @@ class DocumentNorms {
                                       const IdfWeights& idf,
                                       const SimilarityConfig& config);
 
-  // Wraps precomputed per-document norms (dynamic collections extend the
-  // base collection's norms with delta-document norms).
-  static DocumentNorms FromVector(std::vector<double> norms);
-
   double of(DocId doc) const {
     return norms_.empty() ? 1.0 : norms_[doc];
   }
 
-  const std::vector<double>& values() const { return norms_; }
+  // Adds the norm of the next document id (collection views extend the
+  // base collection's norms with their delta documents').
+  void Append(double norm) { norms_.push_back(norm); }
 
  private:
   std::vector<double> norms_;
@@ -98,6 +98,9 @@ struct SimilarityContext {
   IdfWeights idf;
   DocumentNorms inner_norms;
   DocumentNorms outer_norms;
+  // What `idf` borrows when nothing else owns it: the merged df map of a
+  // join with a dynamic side (dynamic/delta_join.h). Usually null.
+  std::shared_ptr<const void> owned;
 
   // `inner` is C1, `outer` is C2.
   static Result<SimilarityContext> Create(const DocumentCollection& inner,

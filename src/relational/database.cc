@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 
 #include "catalog/catalog.h"
 #include "common/crc32.h"
-#include "dynamic/delta_join.h"
 #include "relational/sql_parser.h"
 #include "storage/coding.h"
 #include "storage/page_stream.h"
@@ -286,203 +288,113 @@ void Database::EndGoverned(GovernedRun* run) {
   }
 }
 
-Result<JoinResult> Database::Join(const std::string& inner_name,
-                                  const std::string& outer_name,
-                                  const JoinSpec& spec, PlanChoice* chosen) {
-  if (dynamic_.count(inner_name) > 0 || dynamic_.count(outer_name) > 0) {
-    return JoinDynamic(inner_name, outer_name, spec, chosen);
+Result<DynamicJoinSide> Database::View(const std::string& name) const {
+  if (auto it = dynamic_.find(name); it != dynamic_.end()) {
+    return MakeJoinSide(*it->second);
   }
-  const DocumentCollection* inner = collection(inner_name);
-  const DocumentCollection* outer = collection(outer_name);
-  if (inner == nullptr || outer == nullptr) {
-    return Status::NotFound("unknown collection in join");
+  const DocumentCollection* col = collection(name);
+  if (col == nullptr) {
+    return Status::NotFound("unknown collection '" + name + "' in join");
   }
+  return MakeJoinSide(*col, index(name));
+}
+
+Result<AnalyzedJoin> Database::RunJoin(const std::string& inner_name,
+                                       const std::string& outer_name,
+                                       const JoinSpec& spec,
+                                       const ExplainOptions* explain) {
+  TEXTJOIN_ASSIGN_OR_RETURN(DynamicJoinSide inner, View(inner_name));
+  TEXTJOIN_ASSIGN_OR_RETURN(DynamicJoinSide outer, View(outer_name));
 
   // Result cache: a repeat of the same logical join under the same
-  // collection epochs skips admission, planning and execution entirely.
+  // collection epochs skips admission, planning and execution entirely. A
+  // dynamic collection's epoch moves with every mutation, so hits are only
+  // possible between unchanged contents.
+  AnalyzedJoin out;
   std::string cache_key;
+  std::optional<CachedResult> cached;
   if (result_cache_.enabled()) {
     cache_key = JoinCacheKey(inner_name, CollectionEpoch(inner_name),
                              outer_name, CollectionEpoch(outer_name), spec);
-    if (auto cached = result_cache_.Lookup(cache_key);
-        cached.has_value() && cached->has_plan) {
-      if (chosen != nullptr) *chosen = cached->plan;
-      return cached->rows;
-    }
+    cached = result_cache_.Lookup(cache_key);
   }
-
-  TEXTJOIN_ASSIGN_OR_RETURN(
-      SimilarityContext simctx,
-      SimilarityContext::Create(*inner, *outer, spec.similarity));
-  JoinContext ctx;
-  ctx.inner = inner;
-  ctx.outer = outer;
-  ctx.inner_index = index(inner_name);
-  ctx.outer_index = index(outer_name);
-  ctx.similarity = &simctx;
-  ctx.sys = sys_;
-  TEXTJOIN_ASSIGN_OR_RETURN(GovernedRun run, BeginGoverned(ctx, spec));
-  ScopedDiskGovernor disk_governor(active_disk_, run.governor.get());
-  ctx.governor = run.governor.get();
-  JoinPlanner planner;
-  PlanChoice plan;
-  Result<JoinResult> result = planner.Execute(ctx, spec, &plan);
-  EndGoverned(&run);
-  if (result.ok()) {
-    if (chosen != nullptr) *chosen = plan;
+  const bool hit = cached.has_value() && cached->has_plan;
+  if (hit) {
+    out.result = std::move(cached->rows);
+    out.plan = std::move(cached->plan);
+  } else {
+    TEXTJOIN_ASSIGN_OR_RETURN(SimilarityContext similarity,
+                              ViewSimilarity(inner, &outer, spec.similarity));
+    JoinContext ctx = ViewContext(inner, outer, &similarity, sys_);
+    TEXTJOIN_ASSIGN_OR_RETURN(GovernedRun run, BeginGoverned(ctx, spec));
+    ScopedDiskGovernor disk_governor(active_disk_, run.governor.get());
+    ctx.governor = run.governor.get();
+    std::optional<QueryStatsCollector> collector;
+    if (explain != nullptr) ctx.stats = &collector.emplace(ctx.outer->disk());
+    Result<JoinResult> rows = JoinViews(inner, outer, ctx, spec, &out.plan);
+    if (rows.ok() && collector.has_value()) {
+      out.stats = collector->Finish();
+      GovernanceStats& g = out.stats.governance;
+      if (run.governor != nullptr) {
+        g = GovernanceStats::FromGovernor(*run.governor);
+      }
+      if (run.admission_active) {
+        g.admission = AdmissionOutcomeName(run.grant.outcome);
+        g.queue_wait_ms = run.grant.queue_wait_ms;
+        g.memory_granted_pages = run.grant.memory_granted_pages;
+      }
+    }
+    EndGoverned(&run);
+    TEXTJOIN_RETURN_IF_ERROR(rows.status());
+    out.result = std::move(rows).value();
     if (result_cache_.enabled()) {
       // Only a fully completed join is cached — a cancelled or shed run
       // returned above with its error.
       CachedResult value;
-      value.rows = result.value();
-      value.plan = std::move(plan);
+      value.rows = out.result;
+      value.plan = out.plan;
       value.has_plan = true;
       result_cache_.Insert(cache_key, std::move(value),
                            {inner_name, outer_name});
     }
   }
-  return result;
+  if (explain != nullptr) {
+    if (result_cache_.enabled()) {
+      ServingStats& serving = out.stats.serving;
+      serving.active = true;
+      serving.cache_hit = hit;
+      serving.cache_hits = result_cache_.stats().hits;
+      serving.cache_misses = result_cache_.stats().misses;
+    }
+    out.report =
+        RenderExplainAnalyze(out.plan.ToExplainPlan(), out.stats, *explain);
+  }
+  return out;
 }
 
-Result<JoinResult> Database::JoinDynamic(const std::string& inner_name,
-                                         const std::string& outer_name,
-                                         const JoinSpec& spec,
-                                         PlanChoice* chosen) {
-  auto resolve = [this](const std::string& name,
-                        DynamicJoinSide* side) -> Status {
-    if (auto it = dynamic_.find(name); it != dynamic_.end()) {
-      *side = MakeJoinSide(*it->second);
-      return Status::OK();
-    }
-    const DocumentCollection* col = collection(name);
-    if (col == nullptr) {
-      return Status::NotFound("unknown collection in join");
-    }
-    *side = MakeJoinSide(*col, index(name));
-    return Status::OK();
-  };
-  DynamicJoinSide inner;
-  DynamicJoinSide outer;
-  TEXTJOIN_RETURN_IF_ERROR(resolve(inner_name, &inner));
-  TEXTJOIN_RETURN_IF_ERROR(resolve(outer_name, &outer));
-
-  // Cache keys include epochs; a dynamic collection's epoch moves with
-  // every mutation, so hits are only possible between unchanged contents.
-  std::string cache_key;
-  if (result_cache_.enabled()) {
-    cache_key = JoinCacheKey(inner_name, CollectionEpoch(inner_name),
-                             outer_name, CollectionEpoch(outer_name), spec);
-    if (auto cached = result_cache_.Lookup(cache_key);
-        cached.has_value() && cached->has_plan) {
-      if (chosen != nullptr) *chosen = cached->plan;
-      return cached->rows;
-    }
-  }
-
-  // Admission sees the base collections: the delta stays small between
-  // compactions, so the base dominates the predicted cost.
-  TEXTJOIN_ASSIGN_OR_RETURN(
-      SimilarityContext simctx,
-      SimilarityContext::Create(*inner.base, *outer.base, spec.similarity));
-  JoinContext ctx;
-  ctx.inner = inner.base;
-  ctx.outer = outer.base;
-  ctx.inner_index = inner.index;
-  ctx.outer_index = outer.index;
-  ctx.similarity = &simctx;
-  ctx.sys = sys_;
-  TEXTJOIN_ASSIGN_OR_RETURN(GovernedRun run, BeginGoverned(ctx, spec));
-  ScopedDiskGovernor disk_governor(active_disk_, run.governor.get());
-  PlanChoice plan;
-  Result<JoinResult> result =
-      DynamicJoin(inner, outer, spec, sys_, run.governor.get(), &plan);
-  EndGoverned(&run);
-  if (result.ok()) {
-    if (chosen != nullptr) *chosen = plan;
-    if (result_cache_.enabled()) {
-      CachedResult value;
-      value.rows = result.value();
-      value.plan = std::move(plan);
-      value.has_plan = true;
-      result_cache_.Insert(cache_key, std::move(value),
-                           {inner_name, outer_name});
-    }
-  }
-  return result;
+Result<JoinResult> Database::Join(const std::string& inner_name,
+                                  const std::string& outer_name,
+                                  const JoinSpec& spec, PlanChoice* chosen) {
+  TEXTJOIN_ASSIGN_OR_RETURN(AnalyzedJoin joined,
+                            RunJoin(inner_name, outer_name, spec, nullptr));
+  if (chosen != nullptr) *chosen = std::move(joined.plan);
+  return std::move(joined.result);
 }
 
 Result<AnalyzedJoin> Database::JoinAnalyze(const std::string& inner_name,
                                            const std::string& outer_name,
                                            const JoinSpec& spec,
                                            const ExplainOptions& options) {
-  const DocumentCollection* inner = collection(inner_name);
-  const DocumentCollection* outer = collection(outer_name);
-  if (inner == nullptr || outer == nullptr) {
-    return Status::NotFound("unknown collection in join");
-  }
-
-  std::string cache_key;
-  if (result_cache_.enabled()) {
-    cache_key = JoinCacheKey(inner_name, CollectionEpoch(inner_name),
-                             outer_name, CollectionEpoch(outer_name), spec);
-    if (auto cached = result_cache_.Lookup(cache_key);
-        cached.has_value() && cached->has_plan) {
-      AnalyzedJoin analyzed;
-      analyzed.result = cached->rows;
-      analyzed.plan = cached->plan;
-      ServingStats& serving = analyzed.stats.serving;
-      serving.active = true;
-      serving.cache_hit = true;
-      serving.cache_hits = result_cache_.stats().hits;
-      serving.cache_misses = result_cache_.stats().misses;
-      analyzed.report = RenderExplainAnalyze(analyzed.plan.ToExplainPlan(),
-                                             analyzed.stats, options);
-      return analyzed;
+  // The report meters the executor's phases; a delta merge would run
+  // outside them, so analysis stays on static collections.
+  for (const std::string* name : {&inner_name, &outer_name}) {
+    if (dynamic_.count(*name) > 0) {
+      return Status::InvalidArgument(
+          "EXPLAIN ANALYZE is not supported on dynamic collection '" + *name +
+          "'");
     }
   }
-
-  TEXTJOIN_ASSIGN_OR_RETURN(
-      SimilarityContext simctx,
-      SimilarityContext::Create(*inner, *outer, spec.similarity));
-  JoinContext ctx;
-  ctx.inner = inner;
-  ctx.outer = outer;
-  ctx.inner_index = index(inner_name);
-  ctx.outer_index = index(outer_name);
-  ctx.similarity = &simctx;
-  ctx.sys = sys_;
-  TEXTJOIN_ASSIGN_OR_RETURN(GovernedRun run, BeginGoverned(ctx, spec));
-  ScopedDiskGovernor disk_governor(active_disk_, run.governor.get());
-  ctx.governor = run.governor.get();
-  JoinPlanner planner;
-  Result<AnalyzedJoin> analyzed = planner.ExecuteAnalyze(ctx, spec, options);
-  EndGoverned(&run);
-  if (analyzed.ok() && result_cache_.enabled()) {
-    CachedResult value;
-    value.rows = analyzed->result;
-    value.plan = analyzed->plan;
-    value.has_plan = true;
-    result_cache_.Insert(cache_key, std::move(value),
-                         {inner_name, outer_name});
-    ServingStats& serving = analyzed->stats.serving;
-    serving.active = true;
-    serving.cache_hit = false;
-    serving.cache_hits = result_cache_.stats().hits;
-    serving.cache_misses = result_cache_.stats().misses;
-    analyzed->report = RenderExplainAnalyze(analyzed->plan.ToExplainPlan(),
-                                            analyzed->stats, options);
-  }
-  if (analyzed.ok() && run.admission_active) {
-    // Fold the admission outcome into the governance block and re-render
-    // (rendering is pure, so this just replaces the report text).
-    GovernanceStats& g = analyzed->stats.governance;
-    g.admission = AdmissionOutcomeName(run.grant.outcome);
-    g.queue_wait_ms = run.grant.queue_wait_ms;
-    g.memory_granted_pages = run.grant.memory_granted_pages;
-    analyzed->report = RenderExplainAnalyze(analyzed->plan.ToExplainPlan(),
-                                            analyzed->stats, options);
-  }
-  return analyzed;
+  return RunJoin(inner_name, outer_name, spec, &options);
 }
 
 Status Database::RegisterTable(const Table* table) {
@@ -551,10 +463,17 @@ Result<bool> Database::TryExecuteSet(const std::string& sql, SqlOutput* out) {
   char* end = nullptr;
   errno = 0;
   const double value = std::strtod(value_str.c_str(), &end);
+  // strtod also accepts "inf" and "nan"; NaN compares false with 0.
   if (value_str.empty() || end != value_str.c_str() + value_str.size() ||
-      errno == ERANGE || value < 0) {
+      errno == ERANGE || !std::isfinite(value) || value < 0) {
     return Status::InvalidArgument("SET " + name + ": '" + value_str +
-                                   "' is not a non-negative number");
+                                   "' is not a finite non-negative number");
+  }
+  // The integer knobs: a double at or above 2^63 has no int64 value.
+  if ((name == "memory_budget_pages" || name == "result_cache_entries") &&
+      value >= static_cast<double>(std::numeric_limits<int64_t>::max())) {
+    return Status::InvalidArgument("SET " + name + ": '" + value_str +
+                                   "' does not fit in a 64-bit integer");
   }
 
   if (name == "deadline_ms") {

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "dynamic/delta_join.h"
 #include "dynamic/dynamic_collection.h"
 #include "exec/admission.h"
 #include "exec/governor.h"
@@ -130,13 +131,17 @@ class Database {
   std::vector<std::string> dynamic_names() const;
 
   // Planner-driven join: for each document of `outer_name`, the
-  // spec.lambda most similar documents of `inner_name`.
+  // spec.lambda most similar documents of `inner_name`. Either side may be
+  // static or dynamic; a dynamic side's delta is merged at query time
+  // (dynamic/delta_join.h), and `spec` subsets are rejected on a side that
+  // has a delta or deletions.
   Result<JoinResult> Join(const std::string& inner_name,
                           const std::string& outer_name, const JoinSpec& spec,
                           PlanChoice* chosen = nullptr);
 
   // Join with per-phase instrumentation: also returns the QueryStats tree
-  // and the rendered EXPLAIN ANALYZE report.
+  // and the rendered EXPLAIN ANALYZE report. Static collections only: a
+  // dynamic one is rejected with InvalidArgument.
   Result<AnalyzedJoin> JoinAnalyze(const std::string& inner_name,
                                    const std::string& outer_name,
                                    const JoinSpec& spec,
@@ -179,10 +184,11 @@ class Database {
   Status BumpCollectionEpoch(const std::string& name);
 
   // Builds a serving scheduler (serve/scheduler.h) over this database's
-  // disk and vocabulary, with every indexed collection registered. The
-  // scheduler owns its OWN admission controller, buffer pool, cache and
-  // epochs (seeded from the database's) — a serving tier beside the ad-hoc
-  // query path, not a wrapper around it.
+  // disk and vocabulary, with every indexed collection and every dynamic
+  // collection registered. The scheduler owns its OWN admission
+  // controller, buffer pool, cache and epochs (a static collection starts
+  // at epoch 1 there, a dynamic one at the collection's current epoch) —
+  // a serving tier beside the ad-hoc query path, not a wrapper around it.
   Result<std::unique_ptr<QueryScheduler>> NewScheduler(
       const ServeOptions& options);
 
@@ -212,11 +218,16 @@ class Database {
   // Handles a `SET <knob> = <value>` statement; returns true when `sql`
   // was one.
   Result<bool> TryExecuteSet(const std::string& sql, SqlOutput* out);
-  // Join when at least one side is dynamic: merged-statistics delta join
-  // (dynamic/delta_join.h) instead of the static planner path.
-  Result<JoinResult> JoinDynamic(const std::string& inner_name,
-                                 const std::string& outer_name,
-                                 const JoinSpec& spec, PlanChoice* chosen);
+  // The collection view (dynamic/delta_join.h) of a static or dynamic
+  // collection; a static one is the view with no delta and no deletes.
+  Result<DynamicJoinSide> View(const std::string& name) const;
+  // The one governed join path behind Join and JoinAnalyze: views, cache
+  // lookup, similarity, admission and governor, plan and execute, cache
+  // insert. With `explain` set the run is metered and the report rendered.
+  Result<AnalyzedJoin> RunJoin(const std::string& inner_name,
+                               const std::string& outer_name,
+                               const JoinSpec& spec,
+                               const ExplainOptions* explain);
   // Replaces the device (snapshot reopen), rebuilding the reliable layer.
   void InstallDisk(std::unique_ptr<SimulatedDisk> disk);
 

@@ -1,13 +1,13 @@
 #include "serve/scheduler.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
 #include "dynamic/compaction.h"
+#include "dynamic/delta_join.h"
 #include "storage/disk.h"
 
 namespace textjoin {
@@ -27,74 +27,25 @@ int64_t AccumulatorPages(int64_t num_documents, int64_t page_size) {
 // An immutable view of one collection at one epoch. Queries pin the
 // snapshot current when they are admitted and execute every step against
 // it; writes swap the Served's snapshot pointer for a new one, never
-// mutating an existing snapshot (aux is built lazily but depends only on
-// the snapshot's own frozen state). The base/index shared_ptrs keep a
-// compacted-away generation alive until the last pinned query finishes.
+// mutating an existing snapshot (the similarity is built lazily but
+// depends only on the snapshot's own view). A dynamic collection's view is
+// frozen (dynamic/delta_join.h): it pins a compacted-away generation until
+// the last query holding the snapshot finishes.
 struct QueryScheduler::Snapshot {
   int64_t epoch = 1;
-  std::shared_ptr<const DocumentCollection> base;
-  std::shared_ptr<const InvertedFile> index;
-  bool dynamic = false;
+  DynamicJoinSide view;
 
-  // Dynamic-only live state, frozen at snapshot time.
-  bool any_dead = false;
-  std::vector<char> alive;      // over base DocIds
-  std::vector<Document> delta;  // alive delta docs, insertion order;
-                                // snapshot id of the j-th is base_n + j
-  int64_t num_live = 0;
-  std::unordered_map<TermId, int64_t> merged_df;
-
-  // Scoring aux per SimilarityConfig combination, built on first use
+  // Scoring context per SimilarityConfig combination, built on first use
   // (catalog setup, like SimilarityContext before a join).
-  struct Aux {
-    bool built = false;
-    IdfWeights idf;
-    DocumentNorms norms;
-  };
-  Aux aux[4];
+  std::optional<SimilarityContext> sim[4];
 
-  static int AuxSlot(const SimilarityConfig& config) {
-    return (config.cosine_normalize ? 2 : 0) + (config.use_idf ? 1 : 0);
-  }
-
-  Result<const Aux*> EnsureAux(const SimilarityConfig& config) {
-    Aux& a = aux[AuxSlot(config)];
-    if (a.built) return &a;
-    if (!dynamic) {
-      a.idf = IdfWeights(*base, *base, config);
-      TEXTJOIN_ASSIGN_OR_RETURN(a.norms,
-                                DocumentNorms::Create(*base, a.idf, config));
-      a.built = true;
-      return &a;
+  Result<const SimilarityContext*> Similarity(const SimilarityConfig& config) {
+    std::optional<SimilarityContext>& slot =
+        sim[(config.cosine_normalize ? 2 : 0) + (config.use_idf ? 1 : 0)];
+    if (!slot.has_value()) {
+      TEXTJOIN_ASSIGN_OR_RETURN(slot, ViewSimilarity(view, nullptr, config));
     }
-    // Live merged statistics, the delta_join idiom: idf from the live
-    // df map (ln(1 + N/df) == ln(1 + 2N/2df) bit for bit, so this matches
-    // the static IdfWeights(c, c) a rebuild would compute), base norms
-    // from the static scan under that idf, delta norms from the identical
-    // per-cell expression.
-    a.idf = IdfWeights::FromMergedStats(static_cast<double>(num_live),
-                                        merged_df, config.use_idf);
-    if (config.cosine_normalize) {
-      TEXTJOIN_ASSIGN_OR_RETURN(DocumentNorms base_norms,
-                                DocumentNorms::Create(*base, a.idf, config));
-      std::vector<double> norms = base_norms.values();
-      norms.reserve(norms.size() + delta.size());
-      for (const Document& d : delta) {
-        if (!config.use_idf) {
-          norms.push_back(d.Norm());
-        } else {
-          double s = 0;
-          for (const DCell& c : d.cells()) {
-            s += static_cast<double>(c.weight) *
-                 static_cast<double>(c.weight) * a.idf.Squared(c.term);
-          }
-          norms.push_back(std::sqrt(s));
-        }
-      }
-      a.norms = DocumentNorms::FromVector(std::move(norms));
-    }
-    a.built = true;
-    return &a;
+    return &*slot;
   }
 };
 
@@ -113,8 +64,8 @@ struct QueryScheduler::Task {
   ServeQuery query;
   Served* served = nullptr;
   std::shared_ptr<Snapshot> snap;  // pinned at admission
-  const Snapshot::Aux* aux = nullptr;
-  std::vector<DCell> cells;  // normalized query vector, terms ascending
+  const SimilarityContext* sim = nullptr;
+  Document doc;  // normalized query vector, terms ascending
   double query_norm = 1;
   double predicted_cost_pages = 0;
   int64_t pages_needed = 1;  // accumulator footprint = memory claim
@@ -144,7 +95,7 @@ struct QueryScheduler::Task {
 
   double Finalize(double accumulated, DocId doc) const {
     if (!query.similarity.cosine_normalize) return accumulated;
-    double denom = aux->norms.of(doc) * query_norm;
+    double denom = sim->inner_norms.of(doc) * query_norm;
     return denom > 0 ? accumulated / denom : 0.0;
   }
 };
@@ -197,15 +148,10 @@ Status QueryScheduler::AddCollection(const std::string& name,
   }
   auto served = std::make_unique<Served>();
   served->name = name;
-  auto snap = std::make_shared<Snapshot>();
-  snap->epoch = 1;
-  // Non-owning: static collections are owned by the caller for the
+  // Borrowed: static collections are owned by the caller for the
   // scheduler's whole lifetime.
-  snap->base = std::shared_ptr<const DocumentCollection>(
-      std::shared_ptr<const void>(), collection);
-  snap->index = std::shared_ptr<const InvertedFile>(
-      std::shared_ptr<const void>(), index);
-  served->snapshot = std::move(snap);
+  served->snapshot = std::make_shared<Snapshot>();
+  served->snapshot->view = MakeJoinSide(*collection, index);
   collections_[name] = std::move(served);
   return Status::OK();
 }
@@ -250,24 +196,9 @@ Status QueryScheduler::ReattachDynamic(const std::string& name,
 }
 
 void QueryScheduler::RefreshSnapshot(Served* served) {
-  DynamicCollection* dc = served->dc;
   auto snap = std::make_shared<Snapshot>();
-  snap->epoch = dc->epoch();
-  snap->dynamic = true;
-  snap->base = dc->base_shared();
-  snap->index = dc->index_shared();
-  snap->alive = dc->base_alive();
-  for (char a : snap->alive) {
-    if (!a) {
-      snap->any_dead = true;
-      break;
-    }
-  }
-  for (const DynamicCollection::DeltaDoc* d : dc->AliveDelta()) {
-    snap->delta.push_back(d->doc);
-  }
-  snap->num_live = dc->num_live_documents();
-  snap->merged_df = dc->MergedDfMap();
+  snap->epoch = served->dc->epoch();
+  snap->view = FrozenJoinSide(*served->dc);
   served->snapshot = std::move(snap);
 }
 
@@ -289,8 +220,7 @@ Status QueryScheduler::BumpEpoch(const std::string& name) {
   } else if (served->dc == nullptr) {
     auto snap = std::make_shared<Snapshot>();
     snap->epoch = served->snapshot->epoch + 1;
-    snap->base = served->snapshot->base;
-    snap->index = served->snapshot->index;
+    snap->view = served->snapshot->view;
     served->snapshot = std::move(snap);
   }
   cache_.EraseCollection(name);
@@ -325,28 +255,23 @@ Result<int64_t> QueryScheduler::Submit(const ServeQuery& query) {
   task->query = query;
   task->served = it->second.get();
 
-  if (!query.cells.empty()) {
-    auto doc = Document::FromUnsorted(query.cells);
-    TEXTJOIN_RETURN_IF_ERROR(doc.status());
-    task->cells = doc.value().cells();
-  } else {
-    auto doc = tokenizer_.MakeDocument(query.text, vocabulary_);
-    TEXTJOIN_RETURN_IF_ERROR(doc.status());
-    task->cells = doc.value().cells();
-  }
+  TEXTJOIN_ASSIGN_OR_RETURN(
+      task->doc, query.cells.empty()
+                     ? tokenizer_.MakeDocument(query.text, vocabulary_)
+                     : Document::FromUnsorted(query.cells));
 
   // Admission estimates against the snapshot current at submission; the
   // authoritative figures are re-derived from the ADMISSION snapshot in
   // ActivateTask (writes may land in between).
-  const Snapshot* snap = task->served->snapshot.get();
+  const DynamicJoinSide& view = task->served->snapshot->view;
   task->pages_needed =
-      AccumulatorPages(snap->base->num_documents(), disk_->page_size());
+      AccumulatorPages(view.base->num_documents(), disk_->page_size());
   task->predicted_cost_pages = static_cast<double>(task->pages_needed);
-  for (const DCell& c : task->cells) {
-    int64_t entry = snap->index->FindEntry(c.term);
+  for (const DCell& c : task->doc.cells()) {
+    int64_t entry = view.index->FindEntry(c.term);
     if (entry >= 0) {
       task->predicted_cost_pages +=
-          static_cast<double>(snap->index->EntryPageSpan(entry));
+          static_cast<double>(view.index->EntryPageSpan(entry));
     }
   }
 
@@ -531,20 +456,12 @@ Status QueryScheduler::ActivateTask(Task* task, double queue_wait_ms) {
   task->snap = task->served->snapshot;
   Snapshot* snap = task->snap.get();
 
-  auto aux = snap->EnsureAux(q.similarity);
-  TEXTJOIN_RETURN_IF_ERROR(aux.status());
-  task->aux = aux.value();
-  task->query_norm = 1;
-  if (q.similarity.cosine_normalize) {
-    double sum = 0;
-    for (const DCell& c : task->cells) {
-      double w = static_cast<double>(c.weight);
-      sum += w * w * task->aux->idf.Squared(c.term);
-    }
-    task->query_norm = std::sqrt(sum);
-  }
-  task->pages_needed =
-      AccumulatorPages(snap->base->num_documents(), disk_->page_size());
+  TEXTJOIN_ASSIGN_OR_RETURN(task->sim, snap->Similarity(q.similarity));
+  task->query_norm = q.similarity.cosine_normalize
+                         ? WeightedNorm(task->doc.cells(), task->sim->idf)
+                         : 1;
+  const int64_t n = snap->view.base->num_documents();
+  task->pages_needed = AccumulatorPages(n, disk_->page_size());
 
   GovernorLimits limits;
   limits.deadline_ms = q.deadline_ms > 0
@@ -575,8 +492,9 @@ Status QueryScheduler::ActivateTask(Task* task, double queue_wait_ms) {
   // epoch bump between submission and admission correctly misses, and a
   // same-round write-then-read can never see the pre-write entry (the
   // write erased it before this query could be admitted).
-  task->key = ServeQueryCacheKey(q.collection, snap->epoch, task->cells,
-                                 q.lambda, q.similarity, q.pruning);
+  task->key = ServeQueryCacheKey(q.collection, snap->epoch,
+                                 task->doc.cells(), q.lambda, q.similarity,
+                                 q.pruning);
   if (auto cached = cache_.Lookup(task->key); cached.has_value()) {
     task->hit = true;
     task->hit_matches = cached->rows.empty() ? std::vector<Match>{}
@@ -587,7 +505,6 @@ Status QueryScheduler::ActivateTask(Task* task, double queue_wait_ms) {
   // Cold execution setup: partition the accumulator under the governor's
   // memory budget (PR 4 degraded path — more partitions, more re-fetches,
   // identical bits).
-  const int64_t n = snap->base->num_documents();
   int64_t budget_pages = task->governor->CapBufferPages(task->pages_needed);
   task->partitions = (task->pages_needed + budget_pages - 1) /
                      std::max<int64_t>(1, budget_pages);
@@ -605,14 +522,14 @@ Status QueryScheduler::ActivateTask(Task* task, double queue_wait_ms) {
 }
 
 void QueryScheduler::FlushPartition(Task* task) {
-  const Snapshot* snap = task->snap.get();
+  const DynamicJoinSide& view = task->snap->view;
   for (size_t i = 0; i < task->acc.size(); ++i) {
     double a = task->acc[i];
     if (a > 0) {
       DocId doc = task->part_lo + static_cast<DocId>(i);
       // Deleted base documents still sit in the snapshot's posting lists;
       // they are dropped here, never surfacing in results.
-      if (snap->any_dead && !snap->alive[doc]) continue;
+      if (!view.live(doc)) continue;
       task->topk.Add(doc, task->Finalize(a, doc));
     }
   }
@@ -620,14 +537,14 @@ void QueryScheduler::FlushPartition(Task* task) {
   if (task->part >= task->partitions) {
     // Base partitions exhausted: delta documents (in memory, no I/O) are
     // scored in one final step at snapshot ids base_n + j.
-    if (!snap->delta.empty() && !task->cells.empty()) {
+    if (!view.delta.empty() && !task->doc.cells().empty()) {
       task->delta_pending = true;
     } else {
       task->done = true;
     }
     return;
   }
-  const int64_t n = snap->base->num_documents();
+  const int64_t n = view.base->num_documents();
   task->part_lo = task->part_hi;
   task->part_hi = static_cast<DocId>(
       std::min<int64_t>(task->part_lo + task->docs_per_part, n));
@@ -650,24 +567,14 @@ Result<double> QueryScheduler::StepTask(Task* task) {
     return cost;
   }
   if (task->delta_pending) {
-    // Score every snapshot delta document: per document, contributions
-    // accumulate in ascending query-term order — the same summation order
-    // the partitioned base pass uses, so a rebuild that holds these
-    // documents in its base produces the identical doubles.
-    const Snapshot* snap = task->snap.get();
-    const int64_t base_n = snap->base->num_documents();
-    for (size_t j = 0; j < snap->delta.size(); ++j) {
-      const std::vector<DCell>& dcells = snap->delta[j].cells();
-      double acc = 0;
-      size_t ci = 0;
-      for (const DCell& qc : task->cells) {
-        while (ci < dcells.size() && dcells[ci].term < qc.term) ++ci;
-        if (ci < dcells.size() && dcells[ci].term == qc.term) {
-          acc += static_cast<double>(qc.weight) *
-                 static_cast<double>(dcells[ci].weight) *
-                 task->aux->idf.Squared(qc.term);
-        }
-      }
+    // Score every snapshot delta document: WeightedDot accumulates
+    // (w_q * w_d) * idf(t)^2 in ascending term order — the products and
+    // the summation order of the partitioned base pass, so a rebuild that
+    // holds these documents in its base produces the identical doubles.
+    const DynamicJoinSide& view = task->snap->view;
+    const int64_t base_n = view.base->num_documents();
+    for (size_t j = 0; j < view.delta.size(); ++j) {
+      const double acc = WeightedDot(task->doc, *view.delta[j], *task->sim);
       if (acc > 0) {
         const DocId doc = static_cast<DocId>(base_n + static_cast<int64_t>(j));
         task->topk.Add(doc, task->Finalize(acc, doc));
@@ -678,23 +585,24 @@ Result<double> QueryScheduler::StepTask(Task* task) {
     governor->ChargeSimulatedMs(cost);
     return cost;
   }
-  if (task->term_idx >= task->cells.size()) {
+  const std::vector<DCell>& cells = task->doc.cells();
+  if (task->term_idx >= cells.size()) {
     // Empty query (or end of a partition's terms): flush and move on.
     FlushPartition(task);
     governor->ChargeSimulatedMs(cost);
     return cost;
   }
 
-  const DCell& qc = task->cells[task->term_idx];
-  auto fetched = registrar_.Fetch(*task->snap->index, qc.term, pool_.get(),
-                                  task->query.tenant);
+  const DCell& qc = cells[task->term_idx];
+  auto fetched = registrar_.Fetch(*task->snap->view.index, qc.term,
+                                  pool_.get(), task->query.tenant);
   TEXTJOIN_RETURN_IF_ERROR(fetched.status());
   if (fetched.value().shared) {
     ++task->record.serving.shared_scans;
   } else {
     ++task->record.serving.scan_fetches;
   }
-  const double factor = task->aux->idf.Squared(qc.term);
+  const double factor = task->sim->TermFactor(qc.term);
   const double qw = static_cast<double>(qc.weight);
   for (const ICell& ic : *fetched.value().cells) {
     if (ic.doc < task->part_lo) continue;
@@ -710,7 +618,7 @@ Result<double> QueryScheduler::StepTask(Task* task) {
                  pool_->tenant_frames(task->query.tenant));
   }
   ++task->term_idx;
-  if (task->term_idx >= task->cells.size()) FlushPartition(task);
+  if (task->term_idx >= cells.size()) FlushPartition(task);
   governor->ChargeSimulatedMs(cost);
   return cost;
 }

@@ -735,6 +735,22 @@ TEST(DatabaseGovernanceTest, SetKnobsApplyToSqlQueries) {
       << "the error should list supported knobs: " << unknown.status();
   EXPECT_FALSE(db.ExecuteSql("SET deadline_ms = banana").ok());
   EXPECT_FALSE(db.ExecuteSql("SET deadline_ms = -5").ok());
+  // strtod parses "inf" and "nan"; neither is a knob value, and an integer
+  // knob past int64 has no value to store.
+  for (const std::string knob :
+       {"deadline_ms", "memory_budget_pages", "result_cache_entries"}) {
+    for (const std::string value : {"inf", "nan", "-nan", "1e30"}) {
+      // A finite deadline, however long, is a valid one (checked below).
+      if (knob == "deadline_ms" && value == "1e30") continue;
+      auto bad = db.ExecuteSql("SET " + knob + " = " + value);
+      EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument)
+          << knob << " = " << value;
+    }
+  }
+  EXPECT_EQ(db.session_deadline_ms(), 0);
+  EXPECT_EQ(db.session_memory_budget_pages(), 8);
+  ASSERT_TRUE(db.ExecuteSql("SET deadline_ms = 1e30").ok());
+  EXPECT_EQ(db.session_deadline_ms(), 1e30);
 }
 
 // ---------------------------------------------------------------------------
