@@ -58,19 +58,16 @@ CpuEstimate HhnlCpuCost(const CostInputs& in) {
   // Every pair walks both sorted cell lists: between max(K1,K2) and
   // K1+K2 steps; the expectation is K1 + K2 - common.
   double merge_per_pair = d.K1 + d.K2 - d.common;
-  if (in.adaptive_merge) {
+  if (in.prune) {
     // Skewed lengths switch to galloping: the shorter document's cells
-    // each cost one probe step plus ~2*log2(ratio) search probes. Block
-    // summaries (in.block_skip, one probe per 64-cell block) prune the
-    // search range to roughly one block plus the summary walk, halving
-    // the per-cell probe count.
+    // each cost one probe step plus the search probes. Block summaries
+    // (one probe per 64-cell block) prune the search range to roughly one
+    // block plus the summary walk, ~log2(ratio) + 2 probes per cell.
     const double shorter = std::max(1.0, std::min(d.K1, d.K2));
     const double ratio = std::max(d.K1, d.K2) / shorter;
     if (ratio >= 16.0) {
-      const double probes = in.block_skip ? std::log2(ratio) + 2.0
-                                          : 2.0 * std::log2(ratio) + 2.0;
-      merge_per_pair =
-          std::min(merge_per_pair, shorter * probes + d.common);
+      merge_per_pair = std::min(
+          merge_per_pair, shorter * (std::log2(ratio) + 2.0) + d.common);
     }
   }
   const double rate = std::clamp(in.pruning_rate, 0.0, 1.0);
@@ -122,23 +119,6 @@ CpuEstimate HvnlCpuCost(const CostInputs& in) {
   e.cells_decoded = fetched * d.L1;
   // Per outer document the accumulator holds ~delta*N1 non-zero scores.
   e.heap_offers = d.m * d.delta * d.N1;
-  // Admission suppression: suppressed candidates never accumulate or reach
-  // the heap; each probed entry pays one bound check per cell of the outer
-  // document (the suffix build) plus one per admission decision.
-  const double rate = std::clamp(in.pruning_rate, 0.0, 1.0);
-  if (rate > 0) {
-    e.accumulations *= 1.0 - rate;
-    e.heap_offers *= 1.0 - rate;
-    e.bound_checks = d.m * (d.K2 + d.q * d.K2);
-    e.pairs_pruned = d.m * d.delta * d.N1 * rate;
-    if (in.block_skip) {
-      // Once admission closes, block-granular decode touches only blocks
-      // holding live accumulator documents; the pruned fraction of each
-      // entry's candidates is never decoded or visited by the walk.
-      e.cells_decoded *= 1.0 - rate;
-      e.cell_compares *= 1.0 - rate;
-    }
-  }
   return e;
 }
 
@@ -160,23 +140,11 @@ CpuEstimate VvmCpuCost(const CostInputs& in) {
   const double walk_visits = d.m * d.q * d.K2 * d.L1;
   e.cell_compares = passes * cells2 + walk_visits;
   e.heap_offers = d.m * d.delta * d.N1;
-  // Admission suppression: the decode volume is fixed by the scans, but
-  // suppressed pairs skip their accumulations and heap offers at the cost
-  // of one bound check per new-candidate decision.
-  const double rate = std::clamp(in.pruning_rate, 0.0, 1.0);
-  if (rate > 0) {
-    e.accumulations *= 1.0 - rate;
-    e.heap_offers *= 1.0 - rate;
-    e.bound_checks = d.m * d.delta * d.N1;
-    e.pairs_pruned = d.m * d.delta * d.N1 * rate;
-    if (in.block_skip) {
-      // Pass-slice skipping decodes (and pass-filters) each C2 block only
-      // in the pass owning its document span, and closed outer documents
-      // walk C1's entry block-wise: the pruned share of C1's cells stays
-      // undecoded.
-      e.cells_decoded = cells2 + passes * cells1 * (1.0 - rate);
-      e.cell_compares = cells2 + walk_visits * (1.0 - rate);
-    }
+  if (in.prune) {
+    // Pass-slice skipping decodes (and pass-filters) each C2 block only in
+    // the pass owning its document span.
+    e.cells_decoded = cells2 + passes * cells1;
+    e.cell_compares = cells2 + walk_visits;
   }
   return e;
 }

@@ -25,8 +25,8 @@ struct CpuEstimate {
   double heap_offers = 0;
   double cells_decoded = 0;
   // Pruning extension (join/pruning.h): bound evaluations the executor
-  // performs (counted work), and pairs/candidates it expects to skip
-  // (avoided work — informational, not part of Total()).
+  // performs (counted work), and pairs it expects to skip (avoided work —
+  // informational, not part of Total()).
   double bound_checks = 0;
   double pairs_pruned = 0;
 
@@ -36,23 +36,22 @@ struct CpuEstimate {
   }
 };
 
-// Expected fraction of candidate pairs the top-lambda bounds prune away.
+// Expected fraction of candidate pairs HHNL's top-lambda bounds prune away.
 // Of the ~delta*N1 non-zero candidates per outer document only lambda must
 // be evaluated in full; the catalog bounds are loose (max * sum products),
 // so the model credits only half of the provably-losing remainder. Clamped
 // to [0, 0.9]; 0 when pruning cannot help (lambda >= delta*N1).
 double ExpectedPruningRate(const CostInputs& in);
 
-// When in.pruning_rate > 0 (the planner sets it from the query's
-// PruningConfig via ExpectedPruningRate) the estimates discount the merge,
-// accumulation and heap work by the expected pruning rate and charge the
-// bound checks instead; in.adaptive_merge additionally caps HHNL's
-// per-pair merge cost by the galloping kernel's probe count on skewed
-// document lengths. in.block_skip refines both: block-summary galloping
-// halves HHNL's probe count, and block-granular decode discounts the
-// pruned share of HVNL's fetched cells and VVM's C1 scan. With all three
-// at their defaults (0, false, false) the estimates are exactly the
-// unpruned formulas.
+// in.prune models JoinSpec::prune. For HHNL it caps the per-pair merge
+// cost by the block-summary galloping kernel's probe count on skewed
+// document lengths, and a positive in.pruning_rate (the planner sets it
+// via ExpectedPruningRate) discounts the merge, accumulation and heap work
+// by the expected pruning rate and charges the bound checks instead. For
+// VVM it models the pass-slice block skip: each C2 block is decoded and
+// pass-filtered only in the pass owning its span. HVNL has no pruning.
+// With both knobs at their defaults (false, 0) the estimates are exactly
+// the unpruned formulas.
 CpuEstimate HhnlCpuCost(const CostInputs& in);
 CpuEstimate HvnlCpuCost(const CostInputs& in);
 CpuEstimate VvmCpuCost(const CostInputs& in);

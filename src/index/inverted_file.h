@@ -53,7 +53,7 @@ inline constexpr int64_t kPostingBlockCells = 64;
 // Rounds a max-weight bound up to the nearest representable float. Weights
 // themselves are uint16 (exact in float), but idf-scaled bounds computed in
 // double must quantize TOWARD +inf: rounding a bound down would let a real
-// score exceed it, breaking the suppression soundness argument.
+// weight exceed it, so the stored value would no longer be a bound.
 inline float QuantizeMaxWeight(double w) {
   float f = static_cast<float>(w);
   if (static_cast<double>(f) < w) {
@@ -83,11 +83,9 @@ class InvertedFile {
     int64_t cell_count = 0;   // == document frequency of the term
     int64_t byte_length = 0;  // encoded length on disk
     // Largest cell weight in the list — an upper bound on any document's
-    // weight for this term, used by the exact top-lambda pruning layer
-    // (join/pruning.h) to bound a term's score contribution without
-    // fetching the entry. Stored round-up-quantized: truncating fractional
-    // (idf-scaled) bounds toward zero would zero out sub-1.0 bounds and
-    // wrongly suppress qualifying candidates.
+    // weight for this term. Part of the on-disk catalog; no executor reads
+    // it. Stored round-up-quantized: truncating fractional (idf-scaled)
+    // bounds toward zero would zero out sub-1.0 bounds.
     float max_weight = 0;
     // Fixed-size block summaries (kPostingBlockCells cells each; the last
     // block may be short). Non-empty for every entry with at least one
@@ -209,22 +207,6 @@ class InvertedFile {
   int64_t total_bytes_ = 0;
   PostingCompression compression_ = PostingCompression::kNone;
 };
-
-// Upper bound on the weight document `doc` can have in `entry`'s posting
-// list, from block metadata alone: the covering block's max weight, or 0
-// when no block's [first_doc, last_doc] span contains `doc` — a document
-// outside every span provably does not appear in the list. Falls back to
-// the entry max when the entry carries no block summaries.
-inline float MaxWeightForDoc(const InvertedFile::EntryMeta& entry, DocId doc) {
-  if (entry.blocks.empty()) return entry.max_weight;
-  auto it = std::lower_bound(
-      entry.blocks.begin(), entry.blocks.end(), doc,
-      [](const InvertedFile::PostingBlockMeta& b, DocId d) {
-        return b.last_doc < d;
-      });
-  if (it == entry.blocks.end() || doc < it->first_doc) return 0.0f;
-  return it->max_weight;
-}
 
 // Serializes i-cells to the 5-byte on-disk format.
 void EncodeICells(const std::vector<ICell>& cells, std::vector<uint8_t>* out);

@@ -15,8 +15,8 @@ namespace textjoin {
 // decode. The I/O to fetch the byte span is identical to eagerly decoding
 // the whole entry (the span is read once, page by page); what becomes lazy
 // is only the CPU-side decode, so a traversal that skips a block via its
-// block-max summary never pays to decode it. Backs both the HVNL entry
-// cache and VVM's merge scan, plus the PostingCursor below.
+// summary (VVM's pass-slice skip) never pays to decode it. Backs both the
+// HVNL entry cache and VVM's merge scan, plus the PostingCursor below.
 //
 // The EntryMeta pointer must outlive this object; it points into
 // InvertedFile::entries(), whose storage is stable.

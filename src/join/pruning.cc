@@ -157,16 +157,4 @@ PrunedDotResult WeightedDotPruned(const Document& d1, const Document& d2,
   return out;
 }
 
-double MinEligibleNorm(const DocumentNorms& norms, int64_t num_documents,
-                       const std::vector<char>& member, bool cosine) {
-  if (!cosine) return 1.0;
-  double best = 0.0;
-  for (int64_t d = 0; d < num_documents; ++d) {
-    if (!member.empty() && !member[static_cast<size_t>(d)]) continue;
-    const double n = norms.of(static_cast<DocId>(d));
-    if (n > 0 && (best == 0.0 || n < best)) best = n;
-  }
-  return best;
-}
-
 }  // namespace textjoin

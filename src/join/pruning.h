@@ -13,8 +13,10 @@
 
 namespace textjoin {
 
-// Exact top-lambda pruning — the MaxScore/WAND family of IR threshold
-// algorithms adapted to the paper's three join executors.
+// Exact top-lambda pruning for HHNL — the MaxScore/WAND family of IR
+// threshold algorithms applied to the document-pair loop. JoinSpec::prune
+// switches it (together with VVM's pass-slice block skip, join/vvm.h) on
+// or off; HVNL and VVM accumulate every contribution either way.
 //
 // Write wt_i(t) = w_i(t) * idf(t) for a document's idf-scaled term weight
 // (idf(t) = 1 when idf weighting is off). A pair's accumulated score is
@@ -34,10 +36,9 @@ namespace textjoin {
 //
 // Floating point: fp addition of nonnegative terms is monotone, so any
 // partial accumulator value (finalized) is a valid lower bound on the
-// final score, and the lambda-th largest partial is a valid (possibly
-// stale, hence still valid) threshold. Bounds are computed in a different
-// fp expression order than the accumulation they dominate; kBoundSlack
-// absorbs that rounding so the algebraic inequality survives in fp.
+// final score. Bounds are computed in a different fp expression order
+// than the accumulation they dominate; kBoundSlack absorbs that rounding
+// so the algebraic inequality survives in fp.
 
 // Relative slack applied to every upper bound before comparing against a
 // threshold. The accumulation of n nonnegative products carries O(n*eps)
@@ -49,36 +50,6 @@ inline constexpr double kBoundSlack = 1.0 + 1e-9;
 // cost two multiplies and a compare, so re-checking every step would eat
 // the savings.
 inline constexpr int64_t kEarlyExitStride = 8;
-
-// Per-algorithm pruning switches, carried on JoinSpec. Everything defaults
-// on; results are bit-identical either way (agreement_test and
-// pruning_test enforce this).
-struct PruningConfig {
-  // Upper-bound checks: per-pair pre-checks in HHNL, accumulator admission
-  // suppression in HVNL and VVM.
-  bool bound_skip = true;
-  // Early termination inside an HHNL merge when the remaining suffix bound
-  // cannot lift the pair over the threshold.
-  bool early_exit = true;
-  // Adaptive galloping merge kernel for skewed document lengths.
-  bool adaptive_merge = true;
-  // Block-max traversal (index/inverted_file.h): per-block maxima refine
-  // the admission bounds of HVNL/VVM (per-candidate document-span bounds,
-  // accumulator trimming, whole-block skips with block-granular decode)
-  // and let the galloping merge kernel probe block boundaries. Effective
-  // only alongside the switch it refines (bound_skip for the suppression
-  // layers, adaptive_merge for the kernel); results are bit-identical
-  // either way (blockmax_test enforces this under TEXTJOIN_STRESS_SEED).
-  bool block_skip = true;
-
-  bool any() const {
-    return bound_skip || early_exit || adaptive_merge || block_skip;
-  }
-
-  static PruningConfig Disabled() {
-    return PruningConfig{false, false, false, false};
-  }
-};
 
 // Scalar bound profile of one document under a similarity configuration.
 struct DocBounds {
@@ -156,13 +127,6 @@ PrunedDotResult WeightedDotPruned(const Document& d1, const Document& d2,
                                   MergeKernel kernel,
                                   const DocBlockIndex* blocks1 = nullptr,
                                   const DocBlockIndex* blocks2 = nullptr);
-
-// Smallest positive Finalize norm among the eligible inner documents
-// (respecting `member` when non-empty), or 0 when none is positive. Used
-// by HVNL, whose admission bound must hold for whichever inner document a
-// posting cell names. Returns 1.0 when cosine normalization is off.
-double MinEligibleNorm(const DocumentNorms& norms, int64_t num_documents,
-                       const std::vector<char>& member, bool cosine);
 
 }  // namespace textjoin
 

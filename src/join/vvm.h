@@ -14,6 +14,9 @@ namespace textjoin {
 // the buffer provides M = B - ceil(J1) - ceil(J2). When SM > M, the outer
 // collection is divided into ceil(SM/M) subcollections and both inverted
 // files are rescanned once per subcollection (the paper's extension).
+// With JoinSpec::prune, a pass decodes and filters only the C2 posting
+// blocks whose document span overlaps its subcollection (the pass-slice
+// block skip); the result is identical.
 class VvmJoin : public TextJoinAlgorithm {
  public:
   Algorithm kind() const override { return Algorithm::kVvm; }

@@ -259,14 +259,11 @@ std::string RenderExplainAnalyze(const ExplainPlan& plan,
     char buf[256];
     std::snprintf(buf, sizeof(buf),
                   "pruning: bound_checks=%lld pairs_pruned=%lld "
-                  "early_exits=%lld suppressed=%lld blocks_skipped=%lld "
-                  "trimmed=%lld\n",
+                  "early_exits=%lld blocks_skipped=%lld\n",
                   static_cast<long long>(c.bound_checks),
                   static_cast<long long>(c.pairs_pruned),
                   static_cast<long long>(c.early_exits),
-                  static_cast<long long>(c.candidates_suppressed),
-                  static_cast<long long>(c.blocks_skipped),
-                  static_cast<long long>(c.accumulators_trimmed));
+                  static_cast<long long>(c.blocks_skipped));
     out += buf;
   }
   if (plan.inputs.pruning_rate > 0) {

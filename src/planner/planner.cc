@@ -43,12 +43,9 @@ Result<PlanChoice> JoinPlanner::Plan(const JoinContext& ctx,
     in.outer_reads_random = true;
   }
   // CPU-model pruning knobs: the predicted CPU cost discounts the work the
-  // executor's top-lambda bounds are expected to skip.
-  in.adaptive_merge = spec.pruning.adaptive_merge;
-  in.block_skip = spec.pruning.block_skip;
-  if (spec.pruning.bound_skip || spec.pruning.early_exit) {
-    in.pruning_rate = ExpectedPruningRate(in);
-  }
+  // executor's pruning layers are expected to skip.
+  in.prune = spec.prune;
+  if (spec.prune) in.pruning_rate = ExpectedPruningRate(in);
 
   PlanChoice choice;
   choice.inputs = in;

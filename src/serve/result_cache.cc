@@ -64,8 +64,7 @@ CacheKeyBuilder& CacheKeyBuilder::AddDocs(const std::vector<DocId>& docs) {
 
 std::string ServeQueryCacheKey(const std::string& collection, int64_t epoch,
                                const std::vector<DCell>& query_cells,
-                               int64_t lambda, const SimilarityConfig& sim,
-                               const PruningConfig& pruning) {
+                               int64_t lambda, const SimilarityConfig& sim) {
   CacheKeyBuilder b;
   b.Add("serve")
       .Add(collection)
@@ -73,11 +72,7 @@ std::string ServeQueryCacheKey(const std::string& collection, int64_t epoch,
       .AddCells(query_cells)
       .AddInt(lambda)
       .AddBool(sim.cosine_normalize)
-      .AddBool(sim.use_idf)
-      .AddBool(pruning.bound_skip)
-      .AddBool(pruning.early_exit)
-      .AddBool(pruning.adaptive_merge)
-      .AddBool(pruning.block_skip);
+      .AddBool(sim.use_idf);
   return b.Take();
 }
 
@@ -93,10 +88,7 @@ std::string JoinCacheKey(const std::string& inner, int64_t inner_epoch,
       .AddInt(spec.lambda)
       .AddBool(spec.similarity.cosine_normalize)
       .AddBool(spec.similarity.use_idf)
-      .AddBool(spec.pruning.bound_skip)
-      .AddBool(spec.pruning.early_exit)
-      .AddBool(spec.pruning.adaptive_merge)
-      .AddBool(spec.pruning.block_skip)
+      .AddBool(spec.prune)
       .AddDocs(spec.outer_subset)
       .AddDocs(spec.inner_subset);
   return b.Take();

@@ -17,15 +17,15 @@ namespace textjoin {
 // ResultCache: the serving layer's memory for repeated queries — the
 // millions-of-users pattern is a heavy-tailed query distribution, so a
 // small LRU over (collection epoch, normalized query terms, lambda,
-// scoring variant, pruning config) absorbs most of the load.
+// scoring variant) absorbs most of the load.
 //
 // Cache-key soundness (DESIGN.md section 9): a key must pin down every
 // input that can change the RESULT BITS. The engine's invariants make the
 // key small: algorithm choice (agreement_test), pruning (pruning_test) and
 // memory-budget degradation (governance_test) are all bit-identical, so
-// none of them needs to be keyed for correctness — the pruning config is
-// keyed anyway, defensively, so an ablation study never reads a cached
-// result produced under a different configuration. Deadlines and
+// none of them needs to be keyed for correctness. A Database join keys
+// JoinSpec::prune anyway, because the cached PlanChoice (whose CPU
+// estimate depends on it) is returned with the rows. Deadlines and
 // admission outcomes are NOT keyed: they decide whether a query completes,
 // never what a completed query returns, and only fully completed queries
 // are inserted (a cancelled query inserts nothing — the poison-resistance
@@ -61,15 +61,14 @@ class CacheKeyBuilder {
 
 // The key of one serving query: collection identity + epoch, the
 // normalized query vector (sorted unique (term, weight) cells — two texts
-// with the same bag of words share a key), lambda, scoring variant and
-// pruning config.
+// with the same bag of words share a key), lambda and scoring variant.
 std::string ServeQueryCacheKey(const std::string& collection, int64_t epoch,
                                const std::vector<DCell>& query_cells,
-                               int64_t lambda, const SimilarityConfig& sim,
-                               const PruningConfig& pruning);
+                               int64_t lambda, const SimilarityConfig& sim);
 
 // The key of one Database join: both collections + epochs and the
-// result-relevant JoinSpec fields (lambda, scoring, pruning, subsets).
+// result-relevant JoinSpec fields (lambda, scoring, subsets), plus the
+// prune switch the cached plan depends on.
 std::string JoinCacheKey(const std::string& inner, int64_t inner_epoch,
                          const std::string& outer, int64_t outer_epoch,
                          const JoinSpec& spec);

@@ -493,8 +493,7 @@ Status QueryScheduler::ActivateTask(Task* task, double queue_wait_ms) {
   // same-round write-then-read can never see the pre-write entry (the
   // write erased it before this query could be admitted).
   task->key = ServeQueryCacheKey(q.collection, snap->epoch,
-                                 task->doc.cells(), q.lambda, q.similarity,
-                                 q.pruning);
+                                 task->doc.cells(), q.lambda, q.similarity);
   if (auto cached = cache_.Lookup(task->key); cached.has_value()) {
     task->hit = true;
     task->hit_matches = cached->rows.empty() ? std::vector<Match>{}

@@ -1,6 +1,6 @@
 // Block-max posting traversal: block metadata correctness, the
-// PostingCursor skipping primitives, blocks-on/off bit-identity across all
-// executors (seed-swept via TEXTJOIN_STRESS_SEED, see scripts/check.sh
+// PostingCursor skipping primitives, pruning-on/off bit-identity across
+// all executors (seed-swept via TEXTJOIN_STRESS_SEED, see scripts/check.sh
 // stress), and the float max-weight regression — sub-1.0 (idf-scaled)
 // bounds must survive quantization instead of truncating to zero.
 #include <gtest/gtest.h>
@@ -15,7 +15,6 @@
 #include "index/posting_cursor.h"
 #include "join/hhnl.h"
 #include "join/hvnl.h"
-#include "join/pruning.h"
 #include "join/vvm.h"
 #include "obs/query_stats.h"
 #include "storage/disk_manager.h"
@@ -25,7 +24,6 @@ namespace textjoin {
 namespace {
 
 using testing_util::BruteForceJoin;
-using testing_util::MakeFixture;
 using testing_util::RandomCollection;
 
 // `scripts/check.sh stress` re-runs this binary under several seed
@@ -268,10 +266,10 @@ JoinContext MakeContext(SimulatedDisk* disk, const DocumentCollection& inner,
   return ctx;
 }
 
-// Block-max skipping is an optimization, never a semantics change: with
-// every other pruning layer on, blocks on and off must produce the same
-// result — scores AND tie-breaks — across executors, weighting schemes and
-// both posting representations, and both must match brute force.
+// Block skipping is an optimization, never a semantics change: pruning on
+// and off must produce the same result — scores AND tie-breaks — across
+// executors, weighting schemes and every posting representation, and both
+// must match brute force.
 TEST(BlockMaxIdentityTest, BlocksOnOffBitIdenticalAcrossExecutors) {
   const uint64_t seed = SeedOffset();
   for (const PostingCompression comp :
@@ -296,11 +294,10 @@ TEST(BlockMaxIdentityTest, BlocksOnOffBitIdenticalAcrossExecutors) {
 
       Executors ex;
       for (auto [label, algo] : ex.all()) {
-        spec.pruning = PruningConfig{};
-        spec.pruning.block_skip = false;
+        spec.prune = false;
         auto off = algo->Run(ctx, spec);
         ASSERT_TRUE(off.ok()) << label << ": " << off.status();
-        spec.pruning.block_skip = true;
+        spec.prune = true;
         auto on = algo->Run(ctx, spec);
         ASSERT_TRUE(on.ok()) << label << ": " << on.status();
         EXPECT_EQ(*off, expected) << label;
@@ -333,14 +330,13 @@ TEST(BlockMaxIdentityTest, MultiPassVvmSkipsBlocksAndStaysExact) {
     JoinResult expected = BruteForceJoin(inner, outer, *simctx, spec);
 
     VvmJoin vvm;
-    spec.pruning = PruningConfig{};
-    spec.pruning.block_skip = false;
+    spec.prune = false;
     auto off = vvm.Run(ctx, spec);
     ASSERT_TRUE(off.ok()) << off.status();
 
     QueryStatsCollector collector(&disk);
     ctx.stats = &collector;
-    spec.pruning.block_skip = true;
+    spec.prune = true;
     auto on = vvm.Run(ctx, spec);
     ASSERT_TRUE(on.ok()) << on.status();
     EXPECT_EQ(*off, expected);
@@ -371,70 +367,6 @@ TEST(MaxWeightRegressionTest, SubUnitBoundsSurviveQuantization) {
   // The regression: the old int32 field truncated any sub-1.0 bound to
   // zero, so a zero "upper bound" hid real candidates from admission.
   EXPECT_EQ(static_cast<float>(static_cast<int32_t>(bound)), 0.0f);
-}
-
-TEST(MaxWeightRegressionTest, SubUnitBlockMaximaBoundAndSuppressExactly) {
-  // Hand-authored metadata with fractional maxima — Build only produces
-  // integer cell weights, but idf-scaled summaries are fractional.
-  InvertedFile::EntryMeta e;
-  e.max_weight = QuantizeMaxWeight(0.75);
-  e.blocks = {
-      InvertedFile::PostingBlockMeta{0, 9, 10, 0, QuantizeMaxWeight(0.25)},
-      InvertedFile::PostingBlockMeta{20, 29, 10, 30, QuantizeMaxWeight(0.75)},
-  };
-
-  // Covering blocks report their fractional maxima; documents in the gap
-  // or past the end are provably absent.
-  EXPECT_EQ(MaxWeightForDoc(e, 0), QuantizeMaxWeight(0.25));
-  EXPECT_EQ(MaxWeightForDoc(e, 5), QuantizeMaxWeight(0.25));
-  EXPECT_EQ(MaxWeightForDoc(e, 29), QuantizeMaxWeight(0.75));
-  EXPECT_EQ(MaxWeightForDoc(e, 15), 0.0f);
-  EXPECT_EQ(MaxWeightForDoc(e, 30), 0.0f);
-
-  // Admission against a threshold of 0.5: the 0.75 block admits its
-  // candidates (an int32-truncated bound of 0 would wrongly refuse them)
-  // while the 0.25 block still suppresses — sub-1.0 maxima keep both
-  // directions of the decision exact.
-  const float theta = 0.5f;
-  EXPECT_GE(MaxWeightForDoc(e, 25), theta);
-  EXPECT_LT(MaxWeightForDoc(e, 5), theta);
-  EXPECT_LT(static_cast<float>(static_cast<int32_t>(0.75)), theta);
-
-  // No blocks recorded: the entry-level bound is the fallback.
-  InvertedFile::EntryMeta flat;
-  flat.max_weight = QuantizeMaxWeight(0.6);
-  EXPECT_EQ(MaxWeightForDoc(flat, 17), QuantizeMaxWeight(0.6));
-}
-
-// End to end: under cosine+idf weighting every bound the suppression layer
-// computes is idf-scaled (fractional); suppression must still fire and the
-// pruned run must stay bit-identical to both the unpruned run and brute
-// force.
-TEST(MaxWeightRegressionTest, FractionalIdfBoundsStillSuppress) {
-  SimulatedDisk disk(256);
-  auto f = MakeFixture(&disk, RandomCollection(&disk, "c1", 30, 5, 40, 11),
-                       RandomCollection(&disk, "c2", 20, 4, 40, 12),
-                       SimilarityConfig{true, true});
-  JoinSpec spec;
-  spec.lambda = 3;
-  JoinContext ctx = f->Context(60);
-  JoinResult expected = BruteForceJoin(f->inner, f->outer, f->simctx, spec);
-
-  HvnlJoin hvnl;
-  spec.pruning = PruningConfig::Disabled();
-  auto unpruned = hvnl.Run(ctx, spec);
-  ASSERT_TRUE(unpruned.ok()) << unpruned.status();
-
-  QueryStatsCollector collector(&disk);
-  ctx.stats = &collector;
-  spec.pruning = PruningConfig{};
-  auto pruned = hvnl.Run(ctx, spec);
-  ASSERT_TRUE(pruned.ok()) << pruned.status();
-
-  EXPECT_EQ(*unpruned, expected);
-  EXPECT_EQ(*pruned, *unpruned);
-  EXPECT_GT(collector.Finish().root.cpu.candidates_suppressed, 0)
-      << "fractional bounds never suppressed anything";
 }
 
 }  // namespace

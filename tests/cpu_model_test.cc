@@ -46,39 +46,56 @@ TEST(CpuStatsTest, ArithmeticAndToString) {
 
 // The key structural property: all three algorithms perform EXACTLY the
 // same number of similarity accumulations — one per (pair, common term).
+// With an inner subset only the eligible inner documents' pairs count.
 TEST(CpuCountingTest, AccumulationsIdenticalAcrossAlgorithms) {
   SimulatedDisk disk(256);
   auto f = MakeFixture(&disk, RandomCollection(&disk, "c1", 50, 6, 60, 71),
                        RandomCollection(&disk, "c2", 35, 5, 60, 72));
-  JoinSpec spec;
-  spec.lambda = 4;
-  // The invariant holds for the exhaustive accumulation; pruning skips
-  // provably-losing work per algorithm, which is tested in pruning_test.
-  spec.pruning = PruningConfig::Disabled();
-
-  int64_t expected = 0;  // sum over shared terms of df1 * df2
-  for (const auto& [term, df2] : f->outer.doc_freq_map()) {
-    expected += f->inner.DocumentFrequency(term) * df2;
+  std::vector<DocId> every_other;
+  for (DocId d = 0; d < f->inner.num_documents(); d += 2) {
+    every_other.push_back(d);
   }
 
-  for (int pass = 0; pass < 3; ++pass) {
-    QueryStatsCollector collector(&disk);
-    JoinContext ctx = f->Context(100);
-    ctx.stats = &collector;
-    Result<JoinResult> r(Status::OK());
-    if (pass == 0) {
-      HhnlJoin join;
-      r = join.Run(ctx, spec);
-    } else if (pass == 1) {
-      HvnlJoin join;
-      r = join.Run(ctx, spec);
-    } else {
-      VvmJoin join;
-      r = join.Run(ctx, spec);
+  for (const bool subset : {false, true}) {
+    JoinSpec spec;
+    spec.lambda = 4;
+    if (subset) spec.inner_subset = every_other;
+
+    // Sum over eligible inner documents of their terms' outer df.
+    int64_t expected = 0;
+    for (DocId d = 0; d < f->inner.num_documents(); ++d) {
+      if (subset && d % 2 != 0) continue;
+      auto doc = f->inner.ReadDocument(d);
+      ASSERT_TRUE(doc.ok());
+      for (const DCell& c : doc->cells()) {
+        expected += f->outer.DocumentFrequency(c.term);
+      }
     }
-    ASSERT_TRUE(r.ok());
-    const CpuStats cpu = collector.Finish().root.cpu;
-    EXPECT_EQ(cpu.accumulations, expected) << "pass " << pass;
+
+    // The invariant holds for the exhaustive accumulation: HHNL's pruning
+    // skips provably-losing work, which is tested in pruning_test. HVNL
+    // and VVM never skip an accumulation, so they run with pruning on too.
+    for (int pass = 0; pass < 5; ++pass) {
+      spec.prune = pass >= 3;
+      QueryStatsCollector collector(&disk);
+      JoinContext ctx = f->Context(100);
+      ctx.stats = &collector;
+      Result<JoinResult> r(Status::OK());
+      if (pass == 0) {
+        HhnlJoin join;
+        r = join.Run(ctx, spec);
+      } else if (pass == 1 || pass == 3) {
+        HvnlJoin join;
+        r = join.Run(ctx, spec);
+      } else {
+        VvmJoin join;
+        r = join.Run(ctx, spec);
+      }
+      ASSERT_TRUE(r.ok());
+      const CpuStats cpu = collector.Finish().root.cpu;
+      EXPECT_EQ(cpu.accumulations, expected)
+          << "pass " << pass << (subset ? " (inner subset)" : "");
+    }
   }
 }
 
@@ -88,7 +105,7 @@ TEST(CpuCountingTest, HhnlComparesBoundedByCellSums) {
                        RandomCollection(&disk, "c2", 20, 5, 50, 74));
   JoinSpec spec;
   spec.lambda = 3;
-  spec.pruning = PruningConfig::Disabled();  // the bound needs full merges
+  spec.prune = false;  // the bound needs full merges
   QueryStatsCollector collector(&disk);
   JoinContext ctx = f->Context(100);
   ctx.stats = &collector;
@@ -114,9 +131,9 @@ TEST(CpuCountingTest, VvmDecodesBothFilesPerPass) {
   VvmJoin join;
   int64_t passes = VvmJoin::Passes(ctx, spec);
   ASSERT_GT(passes, 1);
-  // Block-max traversal (pruning.block_skip) leaves posting blocks
-  // undecoded once admission closes, so full decode only holds without it.
-  spec.pruning.block_skip = false;
+  // Pass-slice block skipping (JoinSpec::prune) leaves posting blocks
+  // undecoded, so full decode only holds without it.
+  spec.prune = false;
   ASSERT_TRUE(join.Run(ctx, spec).ok());
   const CpuStats cpu = collector.Finish().root.cpu;
   EXPECT_EQ(cpu.cells_decoded,
@@ -125,7 +142,7 @@ TEST(CpuCountingTest, VvmDecodesBothFilesPerPass) {
   // With block skipping, decode work can only go down — never up.
   QueryStatsCollector blocked(&disk);
   ctx.stats = &blocked;
-  spec.pruning.block_skip = true;
+  spec.prune = true;
   ASSERT_TRUE(join.Run(ctx, spec).ok());
   EXPECT_LE(blocked.Finish().root.cpu.cells_decoded, cpu.cells_decoded);
 }
@@ -148,7 +165,7 @@ TEST(CpuModelTest, EstimatesTrackMeasurements) {
                        RandomCollection(&disk, "c2", 60, 6, 120, 80));
   JoinSpec spec;
   spec.lambda = 5;
-  spec.pruning = PruningConfig::Disabled();  // unpruned estimates below
+  spec.prune = false;  // unpruned estimates below
   CostInputs in = InputsFor(*f, 100, spec);
 
   auto check = [](double measured, double estimated, double band,
@@ -235,7 +252,7 @@ TEST(CpuModelTest, PruningDiscountsEstimatedWork) {
   in.q = 0.8;
   const CpuEstimate base = HhnlCpuCost(in);
   in.pruning_rate = ExpectedPruningRate(in);
-  in.adaptive_merge = true;
+  in.prune = true;
   const CpuEstimate pruned = HhnlCpuCost(in);
   EXPECT_LT(pruned.cell_compares, base.cell_compares);
   EXPECT_LT(pruned.accumulations, base.accumulations);
@@ -244,19 +261,6 @@ TEST(CpuModelTest, PruningDiscountsEstimatedWork) {
   // The discount must beat the bound-check surcharge for the rate to be
   // worth modeling at all.
   EXPECT_LT(pruned.Total(), base.Total());
-
-  const CpuEstimate hv_base = HvnlCpuCost(in);
-  in.pruning_rate = 0;
-  const CpuEstimate hv_unpruned = HvnlCpuCost(in);
-  EXPECT_LT(hv_base.accumulations, hv_unpruned.accumulations);
-  EXPECT_DOUBLE_EQ(hv_base.cells_decoded, hv_unpruned.cells_decoded);
-
-  in.pruning_rate = ExpectedPruningRate(in);
-  const CpuEstimate vv_pruned = VvmCpuCost(in);
-  in.pruning_rate = 0;
-  const CpuEstimate vv_unpruned = VvmCpuCost(in);
-  EXPECT_LT(vv_pruned.accumulations, vv_unpruned.accumulations);
-  EXPECT_DOUBLE_EQ(vv_pruned.cells_decoded, vv_unpruned.cells_decoded);
 }
 
 TEST(CpuModelTest, AccumulationEstimateConsistentAcrossAlgorithms) {

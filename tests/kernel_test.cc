@@ -253,8 +253,12 @@ TEST(KernelIdentityTest, ScaleCellsMatchesScalarBitForBit) {
       std::vector<double> out(static_cast<size_t>(n), -2.0);
       kernel::TableFor(level).scale_cells(cells.data(), n, w2, factor,
                                           out.data());
-      ASSERT_EQ(std::memcmp(out.data(), ref.data(), sizeof(double) * n), 0)
-          << kernel::LevelName(level) << " n " << n;
+      // Zero bytes are trivially equal (and memcmp's pointers would be
+      // the null data() of empty vectors).
+      if (n > 0) {
+        ASSERT_EQ(std::memcmp(out.data(), ref.data(), sizeof(double) * n), 0)
+            << kernel::LevelName(level) << " n " << n;
+      }
     }
   }
 }
@@ -275,8 +279,11 @@ TEST(KernelIdentityTest, PairBoundsMatchesScalarBitForBit) {
         std::vector<double> out(static_cast<size_t>(n), -2.0);
         kernel::TableFor(level).pair_bounds(cands.data(), n, fm, fs, fn, fi,
                                             fixed_is_a, out.data());
-        ASSERT_EQ(std::memcmp(out.data(), ref.data(), sizeof(double) * n), 0)
-            << kernel::LevelName(level) << " n " << n;
+        if (n > 0) {  // zero bytes are trivially equal
+          ASSERT_EQ(
+              std::memcmp(out.data(), ref.data(), sizeof(double) * n), 0)
+              << kernel::LevelName(level) << " n " << n;
+        }
       }
     }
   }
