@@ -21,11 +21,8 @@
 #include <string>
 #include <vector>
 
-#include "storage/disk_manager.h"
 #include "common/logging.h"
-#include "index/inverted_file.h"
-#include "relational/text_join_query.h"
-#include "text/tokenizer.h"
+#include "relational/database.h"
 
 using namespace textjoin;
 
@@ -73,32 +70,25 @@ const Position kPositions[] = {
 }  // namespace
 
 int main() {
-  SimulatedDisk disk(4096);
-  Vocabulary vocab;
-  Tokenizer tokenizer;
+  Database db(4096);
+  db.set_system_params(SystemParams{200, 4096, 5.0});
 
   // Build the two text collections behind the TEXT attributes.
-  CollectionBuilder resumes_builder(&disk, "resumes");
-  for (const Applicant& a : kApplicants) {
-    auto doc = tokenizer.MakeDocument(a.resume, &vocab);
-    TEXTJOIN_CHECK_OK(doc.status());
-    TEXTJOIN_CHECK_OK(resumes_builder.AddDocument(*doc).status());
-  }
-  auto resumes = std::move(resumes_builder.Finish()).value();
+  std::vector<std::string> resumes;
+  for (const Applicant& a : kApplicants) resumes.push_back(a.resume);
+  TEXTJOIN_CHECK_OK(db.AddCollectionFromText("resumes", resumes).status());
 
-  CollectionBuilder jobs_builder(&disk, "job_descriptions");
-  for (const Position& p : kPositions) {
-    auto doc = tokenizer.MakeDocument(p.descr, &vocab);
-    TEXTJOIN_CHECK_OK(doc.status());
-    TEXTJOIN_CHECK_OK(jobs_builder.AddDocument(*doc).status());
-  }
-  auto jobs = std::move(jobs_builder.Finish()).value();
+  std::vector<std::string> jobs;
+  for (const Position& p : kPositions) jobs.push_back(p.descr);
+  TEXTJOIN_CHECK_OK(
+      db.AddCollectionFromText("job_descriptions", jobs).status());
 
   // The relations.
   Table applicants("Applicants", {{"SSN", ColumnType::kInt},
                                   {"Name", ColumnType::kString},
                                   {"Resume", ColumnType::kText}});
-  TEXTJOIN_CHECK_OK(applicants.AttachCollection("Resume", &resumes));
+  TEXTJOIN_CHECK_OK(
+      applicants.AttachCollection("Resume", db.collection("resumes")));
   for (size_t i = 0; i < std::size(kApplicants); ++i) {
     TEXTJOIN_CHECK_OK(applicants.AddRow({kApplicants[i].ssn,
                                          std::string(kApplicants[i].name),
@@ -108,7 +98,8 @@ int main() {
   Table positions("Positions", {{"P#", ColumnType::kInt},
                                 {"Title", ColumnType::kString},
                                 {"Job_descr", ColumnType::kText}});
-  TEXTJOIN_CHECK_OK(positions.AttachCollection("Job_descr", &jobs));
+  TEXTJOIN_CHECK_OK(positions.AttachCollection(
+      "Job_descr", db.collection("job_descriptions")));
   for (size_t i = 0; i < std::size(kPositions); ++i) {
     TEXTJOIN_CHECK_OK(positions.AddRow({kPositions[i].number,
                                         std::string(kPositions[i].title),
@@ -116,11 +107,10 @@ int main() {
   }
 
   // The inverted file on the resumes lets the planner consider HVNL.
-  auto resume_index = InvertedFile::Build(&disk, "resumes.inv", resumes);
-  TEXTJOIN_CHECK_OK(resume_index.status());
+  TEXTJOIN_CHECK_OK(db.BuildIndex("resumes").status());
 
-  TextJoinQueryExecutor executor(SystemParams{200, 4096, 5.0});
-
+  // The query as a TextJoinQuery rather than SQL text: SQL's SIMILAR_TO
+  // scores raw dot products, and this example ranks by cosine similarity.
   TextJoinQuery query;
   query.inner_table = &applicants;
   query.inner_text_column = "Resume";
@@ -148,7 +138,7 @@ int main() {
 
   std::printf(
       "Query 1: A.Resume SIMILAR_TO(2) P.Job_descr  (all positions)\n");
-  auto r1 = executor.Run(query, &resume_index.value());
+  auto r1 = db.ExecuteQuery(query);
   TEXTJOIN_CHECK_OK(r1.status());
   print(*r1);
 
@@ -157,7 +147,7 @@ int main() {
       "SIMILAR_TO(2) P.Job_descr\n");
   LikePredicate engineer("Title", "%Engineer%");
   query.outer_predicates.push_back(&engineer);
-  auto r2 = executor.Run(query, &resume_index.value());
+  auto r2 = db.ExecuteQuery(query);
   TEXTJOIN_CHECK_OK(r2.status());
   print(*r2);
 

@@ -34,10 +34,7 @@ Result<PlanChoice> JoinPlanner::Plan(const JoinContext& ctx,
   in.sys = ctx.sys;
   in.query.lambda = spec.lambda;
   in.query.delta = spec.delta;
-  in.q = options_.measure_term_overlap
-             ? MeasuredTermOverlap(*ctx.outer, *ctx.inner)
-             : EstimateTermOverlap(in.c2.num_distinct_terms,
-                                   in.c1.num_distinct_terms);
+  in.q = MeasuredTermOverlap(*ctx.outer, *ctx.inner);
   if (!spec.outer_subset.empty()) {
     in.participating_outer = static_cast<int64_t>(spec.outer_subset.size());
     in.outer_reads_random = true;

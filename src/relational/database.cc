@@ -492,107 +492,68 @@ Result<bool> Database::TryExecuteSet(const std::string& sql, SqlOutput* out) {
   return true;
 }
 
-Result<Database::SqlOutput> Database::ExecuteSql(const std::string& sql) {
-  {
-    SqlOutput set_out;
-    TEXTJOIN_ASSIGN_OR_RETURN(bool was_set, TryExecuteSet(sql, &set_out));
-    if (was_set) return set_out;
-  }
-  SqlParser parser(tables_);
-  TEXTJOIN_ASSIGN_OR_RETURN(BoundQuery bound, parser.Parse(sql));
-
-  // The registered collection name a text column is attached to.
-  auto name_of = [&](const Table* table,
-                     const std::string& column) -> std::string {
-    int64_t c = table->ColumnIndex(column);
-    if (c < 0) return std::string();
-    const DocumentCollection* col = table->CollectionOf(c);
+Result<QueryResult> Database::ExecuteQuery(const TextJoinQuery& query) {
+  TEXTJOIN_ASSIGN_OR_RETURN(
+      ResolvedSide inner, ResolveSide(query.inner_table,
+                                      query.inner_text_column,
+                                      query.inner_predicates));
+  TEXTJOIN_ASSIGN_OR_RETURN(
+      ResolvedSide outer, ResolveSide(query.outer_table,
+                                      query.outer_text_column,
+                                      query.outer_predicates));
+  // The registered name of the collection a side's TEXT column references.
+  auto name_of = [this](const ResolvedSide& side,
+                        const std::string& column) -> Result<std::string> {
     for (const auto& [name, owned] : collections_) {
-      if (owned.get() == col) return name;
+      if (owned.get() == side.collection) return name;
     }
-    return std::string();
+    return Status::InvalidArgument(
+        "TEXT column " + column +
+        " is attached to a collection this database does not hold");
   };
+  TEXTJOIN_ASSIGN_OR_RETURN(std::string inner_name,
+                            name_of(inner, query.inner_text_column));
+  TEXTJOIN_ASSIGN_OR_RETURN(std::string outer_name,
+                            name_of(outer, query.outer_text_column));
 
-  // The inverted file (if any) registered for the collection a text
-  // column is attached to.
-  auto index_of = [&](const Table* table,
-                      const std::string& column) -> const InvertedFile* {
-    std::string name = name_of(table, column);
-    if (name.empty()) return nullptr;
-    auto it = indexes_.find(name);
-    return it == indexes_.end() ? nullptr : it->second.get();
-  };
+  JoinSpec spec;
+  spec.lambda = query.lambda;
+  spec.similarity = query.similarity;
+  if (inner.reduced) spec.inner_subset = std::move(inner.docs);
+  if (outer.reduced) spec.outer_subset = std::move(outer.docs);
 
-  // Session lifecycle knobs apply to every SIMILAR_TO query; the executor
-  // builds the governor from these fields.
-  TextJoinQuery query = bound.query();
-  query.deadline_ms = session_deadline_ms_ > 0
-                          ? session_deadline_ms_
-                          : options_.admission.default_deadline_ms;
-  query.memory_budget_pages = session_memory_budget_pages_;
-
-  const bool admission_active = options_.admission.max_concurrent > 0 ||
-                                options_.admission.memory_budget_pages > 0 ||
-                                options_.admission.cost_unit_ms > 0;
-  AdmissionGrant grant;
-  if (admission_active) {
-    TEXTJOIN_ASSIGN_OR_RETURN(
-        grant, admission_.Submit(/*predicted_cost_pages=*/0,
-                                 sys_.buffer_pages, query.deadline_ms));
-    if (grant.outcome == AdmissionOutcome::kQueued) {
-      TEXTJOIN_ASSIGN_OR_RETURN(grant, admission_.Await(grant.ticket));
-    }
-    if (options_.admission.memory_budget_pages > 0 &&
-        grant.memory_granted_pages > 0 &&
-        grant.memory_granted_pages < sys_.buffer_pages) {
-      query.memory_budget_pages =
-          query.memory_budget_pages > 0
-              ? std::min(query.memory_budget_pages,
-                         grant.memory_granted_pages)
-              : grant.memory_granted_pages;
+  const IoStats before = active_disk_->stats();
+  TEXTJOIN_ASSIGN_OR_RETURN(
+      AnalyzedJoin joined,
+      RunJoin(inner_name, outer_name, spec,
+              query.explain_analyze ? &query.explain_options : nullptr));
+  QueryResult result;
+  result.io = active_disk_->stats() - before;
+  result.plan = std::move(joined.plan);
+  result.stats = std::move(joined.stats);
+  result.explain = std::move(joined.report);
+  for (const OuterMatches& om : joined.result) {
+    auto oit = outer.row_of.find(om.outer_doc);
+    if (oit == outer.row_of.end()) continue;  // outer doc not selected
+    for (const Match& m : om.matches) {
+      auto iit = inner.row_of.find(m.doc);
+      if (iit == inner.row_of.end()) continue;
+      result.rows.push_back(QueryResultRow{oit->second, iit->second, m.score});
     }
   }
+  return result;
+}
 
-  // Attach the result cache when it is enabled and both sides resolve to
-  // registered collections (the hook keys on their names + epochs).
-  QueryCacheHook hook;
-  const QueryCacheHook* hook_ptr = nullptr;
-  if (result_cache_.enabled()) {
-    hook.inner_name = name_of(query.inner_table, query.inner_text_column);
-    hook.outer_name = name_of(query.outer_table, query.outer_text_column);
-    if (!hook.inner_name.empty() && !hook.outer_name.empty()) {
-      hook.cache = &result_cache_;
-      hook.inner_epoch = CollectionEpoch(hook.inner_name);
-      hook.outer_epoch = CollectionEpoch(hook.outer_name);
-      hook_ptr = &hook;
-    }
-  }
-
-  TextJoinQueryExecutor executor(sys_);
-  Result<QueryResult> run =
-      executor.Run(query, index_of(query.inner_table, query.inner_text_column),
-                   index_of(query.outer_table, query.outer_text_column),
-                   hook_ptr);
-  if (admission_active) admission_.Release(grant.ticket);
-  TEXTJOIN_RETURN_IF_ERROR(run.status());
-  QueryResult result = std::move(*run);
-  if (admission_active && result.stats.governance.active) {
-    GovernanceStats& g = result.stats.governance;
-    g.admission = AdmissionOutcomeName(grant.outcome);
-    g.queue_wait_ms = grant.queue_wait_ms;
-    g.memory_granted_pages = grant.memory_granted_pages;
-    if (query.explain_analyze) {
-      result.explain = RenderExplainAnalyze(result.plan.ToExplainPlan(),
-                                            result.stats,
-                                            query.explain_options);
-    }
-  }
+Result<Database::SqlOutput> Database::ExecuteSql(const std::string& sql) {
   SqlOutput out;
-  out.rows.reserve(result.rows.size());
-  for (const QueryResultRow& row : result.rows) {
+  TEXTJOIN_ASSIGN_OR_RETURN(bool was_set, TryExecuteSet(sql, &out));
+  if (was_set) return out;
+  TEXTJOIN_ASSIGN_OR_RETURN(BoundQuery bound, SqlParser(tables_).Parse(sql));
+  TEXTJOIN_ASSIGN_OR_RETURN(out.result, ExecuteQuery(bound.query()));
+  out.rows.reserve(out.result.rows.size());
+  for (const QueryResultRow& row : out.result.rows) {
     out.rows.push_back(bound.FormatRow(row));
   }
-  out.result = std::move(result);
   return out;
 }
 

@@ -151,16 +151,21 @@ class Database {
   // owned and must outlive the database's SQL use.
   Status RegisterTable(const Table* table);
 
+  // Runs a SIMILAR_TO query as a Join (JoinAnalyze under EXPLAIN ANALYZE)
+  // over the documents its selections leave, and maps the matches back to
+  // table rows. Each TEXT column must be attached to a static collection of
+  // this database; its inverted file, if built, is used.
+  Result<QueryResult> ExecuteQuery(const TextJoinQuery& query);
+
   struct SqlOutput {
     QueryResult result;
     std::vector<std::string> rows;  // formatted per the select list
   };
 
-  // Parses and runs one extended-SQL query against the registered tables
-  // (see relational/sql_parser.h for the grammar, including the
-  // `EXPLAIN ANALYZE` prefix; the report lands in result.explain).
-  // Inverted files registered for the referenced collections are used
-  // automatically.
+  // Parses one extended-SQL statement against the registered tables and
+  // runs it through ExecuteQuery (see relational/sql_parser.h for the
+  // grammar, including the `EXPLAIN ANALYZE` prefix; the report lands in
+  // result.explain), or applies a `SET` knob.
   Result<SqlOutput> ExecuteSql(const std::string& sql);
 
   // System parameters used by Join (default: B=10000, P=page size,
@@ -221,9 +226,10 @@ class Database {
   // The collection view (dynamic/delta_join.h) of a static or dynamic
   // collection; a static one is the view with no delta and no deletes.
   Result<DynamicJoinSide> View(const std::string& name) const;
-  // The one governed join path behind Join and JoinAnalyze: views, cache
-  // lookup, similarity, admission and governor, plan and execute, cache
-  // insert. With `explain` set the run is metered and the report rendered.
+  // The one governed join path behind Join, JoinAnalyze and ExecuteQuery:
+  // views, cache lookup, similarity, admission and governor, plan and
+  // execute, cache insert. With `explain` set the run is metered and the
+  // report rendered.
   Result<AnalyzedJoin> RunJoin(const std::string& inner_name,
                                const std::string& outer_name,
                                const JoinSpec& spec,

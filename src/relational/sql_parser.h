@@ -82,7 +82,7 @@ class SqlParser {
       : tables_(std::move(tables)) {}
 
   // Parses and binds `sql`; the returned BoundQuery can be handed to
-  // TextJoinQueryExecutor::Run via .query().
+  // Database::ExecuteQuery via .query().
   Result<BoundQuery> Parse(const std::string& sql) const;
 
  private:

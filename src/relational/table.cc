@@ -70,12 +70,4 @@ const Value& Table::at(int64_t r, int64_t c) const {
   return row(r)[static_cast<size_t>(c)];
 }
 
-int64_t Table::RowOfDocument(int64_t column, DocId doc) const {
-  for (int64_t r = 0; r < num_rows(); ++r) {
-    const Value& v = at(r, column);
-    if (std::get<TextRef>(v).doc == doc) return r;
-  }
-  return -1;
-}
-
 }  // namespace textjoin

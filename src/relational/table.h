@@ -45,10 +45,6 @@ class Table {
   const std::vector<Value>& row(int64_t r) const;
   const Value& at(int64_t r, int64_t c) const;
 
-  // Row index of the row whose TEXT column `column` references `doc`,
-  // or -1. (Rows reference documents uniquely in this layer.)
-  int64_t RowOfDocument(int64_t column, DocId doc) const;
-
  private:
   std::string name_;
   std::vector<Column> schema_;

@@ -1,28 +1,12 @@
 #include "relational/text_join_query.h"
 
 #include <algorithm>
-#include <optional>
-#include <unordered_map>
-
-#include "common/logging.h"
-#include "exec/governor.h"
-#include "obs/explain.h"
 
 namespace textjoin {
 
-namespace {
-
-// Resolves one side of the query: the participating documents (ascending)
-// and the doc -> row mapping.
-struct Side {
-  const DocumentCollection* collection = nullptr;
-  std::vector<DocId> docs;                      // ascending
-  std::unordered_map<DocId, int64_t> row_of;
-  bool reduced = false;  // a selection filtered some rows out
-};
-
-Result<Side> ResolveSide(const Table* table, const std::string& column,
-                         const std::vector<const Predicate*>& predicates) {
+Result<ResolvedSide> ResolveSide(
+    const Table* table, const std::string& column,
+    const std::vector<const Predicate*>& predicates) {
   if (table == nullptr) {
     return Status::InvalidArgument("query is missing a table");
   }
@@ -34,7 +18,7 @@ Result<Side> ResolveSide(const Table* table, const std::string& column,
   if (table->schema()[c].type != ColumnType::kText) {
     return Status::InvalidArgument(column + " is not a TEXT column");
   }
-  Side side;
+  ResolvedSide side;
   side.collection = table->CollectionOf(c);
   if (side.collection == nullptr) {
     return Status::FailedPrecondition("TEXT column " + column +
@@ -57,145 +41,6 @@ Result<Side> ResolveSide(const Table* table, const std::string& column,
   side.reduced = side.reduced || static_cast<int64_t>(side.docs.size()) <
                                      side.collection->num_documents();
   return side;
-}
-
-}  // namespace
-
-Result<QueryResult> TextJoinQueryExecutor::Run(
-    const TextJoinQuery& query, const InvertedFile* inner_index,
-    const InvertedFile* outer_index, const QueryCacheHook* cache_hook) const {
-  TEXTJOIN_ASSIGN_OR_RETURN(
-      Side inner, ResolveSide(query.inner_table, query.inner_text_column,
-                              query.inner_predicates));
-  TEXTJOIN_ASSIGN_OR_RETURN(
-      Side outer, ResolveSide(query.outer_table, query.outer_text_column,
-                              query.outer_predicates));
-  if (inner.collection->disk() != outer.collection->disk()) {
-    return Status::InvalidArgument(
-        "both collections must live on the same simulated disk");
-  }
-
-  TEXTJOIN_ASSIGN_OR_RETURN(
-      SimilarityContext simctx,
-      SimilarityContext::Create(*inner.collection, *outer.collection,
-                                query.similarity));
-
-  JoinContext ctx;
-  ctx.inner = inner.collection;
-  ctx.outer = outer.collection;
-  ctx.inner_index = inner_index;
-  ctx.outer_index = outer_index;
-  ctx.similarity = &simctx;
-  ctx.sys = sys_;
-
-  JoinSpec spec;
-  spec.lambda = query.lambda;
-  spec.similarity = query.similarity;
-  spec.deadline_ms = query.deadline_ms;
-  spec.memory_budget_pages = query.memory_budget_pages;
-  if (outer.reduced) spec.outer_subset = outer.docs;
-  if (inner.reduced) spec.inner_subset = inner.docs;
-
-  // Map a document-level JoinResult back to selected table rows.
-  auto map_rows = [&inner, &outer](const JoinResult& join,
-                                   QueryResult* result) {
-    for (const OuterMatches& om : join) {
-      auto oit = outer.row_of.find(om.outer_doc);
-      if (oit == outer.row_of.end()) continue;  // outer doc not selected
-      for (const Match& m : om.matches) {
-        auto iit = inner.row_of.find(m.doc);
-        if (iit == inner.row_of.end()) continue;
-        result->rows.push_back(
-            QueryResultRow{oit->second, iit->second, m.score});
-      }
-    }
-  };
-
-  // Result-cache lookup, keyed below the predicates on the computed
-  // subsets (already folded into `spec`): a repeat of the same logical
-  // join under the same collection epochs is answered without touching
-  // the planner, the governor or the disk.
-  std::string cache_key;
-  const bool cache_on = cache_hook != nullptr && cache_hook->cache != nullptr &&
-                        cache_hook->cache->enabled();
-  if (cache_on) {
-    cache_key = JoinCacheKey(cache_hook->inner_name, cache_hook->inner_epoch,
-                             cache_hook->outer_name, cache_hook->outer_epoch,
-                             spec);
-    if (auto cached = cache_hook->cache->Lookup(cache_key);
-        cached.has_value() && cached->has_plan) {
-      QueryResult result;
-      result.plan = cached->plan;
-      ServingStats& serving = result.stats.serving;
-      serving.active = true;
-      serving.cache_hit = true;
-      serving.cache_hits = cache_hook->cache->stats().hits;
-      serving.cache_misses = cache_hook->cache->stats().misses;
-      map_rows(cached->rows, &result);
-      if (query.explain_analyze) {
-        result.explain = RenderExplainAnalyze(result.plan.ToExplainPlan(),
-                                              result.stats,
-                                              query.explain_options);
-      }
-      return result;
-    }
-  }
-
-  Disk* disk = inner.collection->disk();
-
-  // Govern the run when the query carries lifecycle limits (SET knobs or
-  // TextJoinQuery fields). The governor reaches the storage layer through
-  // the disk, so selections and index probes are cancellable too.
-  std::optional<QueryGovernor> governor;
-  std::optional<ScopedDiskGovernor> disk_governor;
-  if (query.deadline_ms > 0 || query.memory_budget_pages > 0) {
-    governor.emplace(
-        GovernorLimits{query.deadline_ms, query.memory_budget_pages});
-    ctx.governor = &*governor;
-    disk_governor.emplace(disk, &*governor);
-  }
-
-  const IoStats before = disk->stats();
-  QueryResult result;
-  JoinResult join;
-  if (query.explain_analyze) {
-    TEXTJOIN_ASSIGN_OR_RETURN(
-        AnalyzedJoin analyzed,
-        planner_.ExecuteAnalyze(ctx, spec, query.explain_options));
-    join = std::move(analyzed.result);
-    result.plan = std::move(analyzed.plan);
-    result.stats = std::move(analyzed.stats);
-    result.explain = std::move(analyzed.report);
-  } else {
-    TEXTJOIN_ASSIGN_OR_RETURN(join, planner_.Execute(ctx, spec,
-                                                     &result.plan));
-  }
-  result.io = disk->stats() - before;
-
-  if (cache_on) {
-    // Only a FULLY completed join is inserted (errors returned above), so
-    // a cancelled or shed query can never poison the cache.
-    CachedResult value;
-    value.rows = join;
-    value.plan = result.plan;
-    value.has_plan = true;
-    cache_hook->cache->Insert(cache_key, std::move(value),
-                              {cache_hook->inner_name,
-                               cache_hook->outer_name});
-    ServingStats& serving = result.stats.serving;
-    serving.active = true;
-    serving.cache_hit = false;
-    serving.cache_hits = cache_hook->cache->stats().hits;
-    serving.cache_misses = cache_hook->cache->stats().misses;
-    if (query.explain_analyze) {
-      result.explain = RenderExplainAnalyze(result.plan.ToExplainPlan(),
-                                            result.stats,
-                                            query.explain_options);
-    }
-  }
-
-  map_rows(join, &result);
-  return result;
 }
 
 }  // namespace textjoin

@@ -1,12 +1,13 @@
 #ifndef TEXTJOIN_RELATIONAL_TEXT_JOIN_QUERY_H_
 #define TEXTJOIN_RELATIONAL_TEXT_JOIN_QUERY_H_
 
+#include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "planner/planner.h"
 #include "relational/predicate.h"
 #include "relational/table.h"
-#include "serve/result_cache.h"
 #include "storage/io_stats.h"
 
 namespace textjoin {
@@ -31,12 +32,6 @@ struct TextJoinQuery {
   int64_t lambda = 20;
   SimilarityConfig similarity;
 
-  // Query-lifecycle limits (exec/governor.h): the executor runs the join
-  // under a QueryGovernor when either is set. The Database fills these
-  // from its session `SET deadline_ms / memory_budget_pages` knobs.
-  double deadline_ms = 0;
-  int64_t memory_budget_pages = 0;
-
   std::vector<const Predicate*> inner_predicates;
   std::vector<const Predicate*> outer_predicates;
 
@@ -56,7 +51,7 @@ struct QueryResultRow {
 struct QueryResult {
   std::vector<QueryResultRow> rows;  // grouped by outer row, best first
   PlanChoice plan;                   // which algorithm ran and why
-  IoStats io;                        // pages read by the join itself
+  IoStats io;                        // pages read, similarity set-up too
 
   // Filled only under EXPLAIN ANALYZE: the per-phase statistics tree and
   // the rendered predicted-vs-measured report.
@@ -64,41 +59,20 @@ struct QueryResult {
   std::string explain;
 };
 
-// Optional result-cache attachment for one Run (serve/result_cache.h).
-// The Database fills it with its cache and the two collections' names and
-// epochs; the executor keys the join below predicate evaluation — on the
-// computed document subsets — so the same cache serves queries whose
-// predicates differ but select the same documents. Only a fully completed
-// join is inserted.
-struct QueryCacheHook {
-  ResultCache* cache = nullptr;
-  std::string inner_name;
-  int64_t inner_epoch = 0;
-  std::string outer_name;
-  int64_t outer_epoch = 0;
+// One side of a query resolved against its table: the documents the
+// selected rows reference and the way back from a document to its row.
+struct ResolvedSide {
+  const DocumentCollection* collection = nullptr;
+  std::vector<DocId> docs;  // ascending
+  std::unordered_map<DocId, int64_t> row_of;
+  bool reduced = false;  // `docs` is not the whole collection
 };
 
-// Runs SIMILAR_TO queries: evaluates the selections, reduces the
-// participating documents, lets the planner pick HHNL/HVNL/VVM, executes,
-// and maps document numbers back to rows.
-class TextJoinQueryExecutor {
- public:
-  TextJoinQueryExecutor(SystemParams sys,
-                        JoinPlanner::Options planner_options = {})
-      : sys_(sys), planner_(planner_options) {}
-
-  // `inner_index` / `outer_index` are optional; without them the planner
-  // can only choose HHNL. `cache_hook` (optional) serves the join from the
-  // attached ResultCache when the key matches a completed run.
-  Result<QueryResult> Run(const TextJoinQuery& query,
-                          const InvertedFile* inner_index = nullptr,
-                          const InvertedFile* outer_index = nullptr,
-                          const QueryCacheHook* cache_hook = nullptr) const;
-
- private:
-  SystemParams sys_;
-  JoinPlanner planner_;
-};
+// Evaluates `predicates` on `table` and collects the documents the selected
+// rows reference in the TEXT column `column`.
+Result<ResolvedSide> ResolveSide(
+    const Table* table, const std::string& column,
+    const std::vector<const Predicate*>& predicates);
 
 }  // namespace textjoin
 

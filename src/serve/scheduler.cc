@@ -1,6 +1,7 @@
 #include "serve/scheduler.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -246,6 +247,11 @@ Result<int64_t> QueryScheduler::Submit(const ServeQuery& query) {
   if (query.lambda <= 0) {
     return Status::InvalidArgument("lambda must be positive");
   }
+  if (!std::isfinite(query.arrival_ms)) {
+    // A NaN or infinite arrival never becomes due, so Run() could not
+    // finish the query.
+    return Status::InvalidArgument("arrival_ms must be finite");
+  }
   if (pool_->partitioned() && pool_->tenant_quota(query.tenant) < 0) {
     return Status::InvalidArgument("unknown tenant '" + query.tenant +
                                    "' in partitioned serving pool");
@@ -293,6 +299,9 @@ Result<int64_t> QueryScheduler::SubmitWrite(const ServeWrite& write) {
     return Status::InvalidArgument(
         "collection '" + write.collection +
         "' is static; writes need a dynamic collection");
+  }
+  if (!std::isfinite(write.arrival_ms)) {
+    return Status::InvalidArgument("arrival_ms must be finite");
   }
   auto w = std::make_unique<PendingWrite>();
   w->id = next_write_id_++;

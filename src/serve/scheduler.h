@@ -225,12 +225,14 @@ class QueryScheduler {
   bool wounded(const std::string& name) const;
 
   // Tokenizes and enqueues a query; returns its id. Fails on unknown
-  // collection/tenant or untokenizable input — before any clock advances.
+  // collection/tenant, a non-finite arrival or untokenizable input —
+  // before any clock advances.
   Result<int64_t> Submit(const ServeQuery& query);
 
   // Validates and enqueues a write; returns its id. Like Submit, input
-  // errors (unknown or non-dynamic collection, untokenizable insert,
-  // missing delete key) surface here, before any clock advances.
+  // errors (unknown or non-dynamic collection, non-finite arrival,
+  // untokenizable insert, missing delete key) surface here, before any
+  // clock advances.
   Result<int64_t> SubmitWrite(const ServeWrite& write);
 
   // Drains every submitted query AND write to completion (or

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -292,6 +295,176 @@ TEST(DatabaseTest, StaticJoinMatchesDirectPlannerBits) {
     }
   }
   EXPECT_EQ(chosen.size(), 3u) << "every executor should be covered";
+}
+
+// A relation over every document of a registered collection, with rows in a
+// permuted document order so results must be mapped through the table.
+std::unique_ptr<Table> MakeDocTable(Database* db, const std::string& table,
+                                    const std::string& collection) {
+  auto t = std::make_unique<Table>(
+      table, std::vector<Column>{{"id", ColumnType::kInt},
+                                 {"grp", ColumnType::kInt},
+                                 {"body", ColumnType::kText}});
+  const DocumentCollection* col = db->collection(collection);
+  TEXTJOIN_CHECK_OK(t->AttachCollection("body", col));
+  const int64_t n = col->num_documents();
+  for (int64_t r = 0; r < n; ++r) {
+    const DocId doc = static_cast<DocId>(r * 7 % n);
+    TEXTJOIN_CHECK_OK(
+        t->AddRow({Value(r), Value(r % 10), Value(TextRef{doc})}));
+  }
+  TEXTJOIN_CHECK_OK(db->RegisterTable(t.get()));
+  return t;
+}
+
+// Lines without wall-clock readings, which vary run to run.
+std::string WithoutWallClock(const std::string& report) {
+  std::string out;
+  size_t begin = 0;
+  while (begin < report.size()) {
+    size_t end = report.find('\n', begin);
+    if (end == std::string::npos) end = report.size();
+    const std::string line = report.substr(begin, end - begin);
+    if (line.find("wall") == std::string::npos) out += line + "\n";
+    begin = end + 1;
+  }
+  return out;
+}
+
+// A SIMILAR_TO query is the Database join of the selected documents: the
+// same rows (mapped through the tables), score bits, plan and EXPLAIN
+// ANALYZE report as Database::Join / JoinAnalyze under the equivalent
+// JoinSpec subsets.
+TEST(DatabaseTest, SqlJoinMatchesDatabaseJoinBits) {
+  Database db(256);
+  const std::vector<std::string> a_texts = RandomTexts(40, 200, 400, 600, 11);
+  const std::vector<std::string> b_texts = RandomTexts(400, 3, 8, 600, 12);
+  ASSERT_TRUE(db.AddCollectionFromText("a", a_texts).ok());
+  ASSERT_TRUE(db.AddCollectionFromText("b", b_texts).ok());
+  ASSERT_TRUE(db.AddCollectionFromText("a0", a_texts).ok());
+  ASSERT_TRUE(db.AddCollectionFromText("b0", b_texts).ok());
+  ASSERT_TRUE(db.BuildIndex("a").ok());
+  ASSERT_TRUE(db.BuildIndex("b").ok());
+  std::vector<std::unique_ptr<Table>> tables;
+  for (auto [table, collection] :
+       {std::pair{"A", "a"}, {"B", "b"}, {"A0", "a0"}, {"B0", "b0"}}) {
+    tables.push_back(MakeDocTable(&db, table, collection));
+  }
+
+  // Each table's document -> row and row -> document.
+  auto row_of = [](const Table& t) {
+    std::map<DocId, int64_t> rows;
+    for (int64_t r = 0; r < t.num_rows(); ++r) {
+      rows[std::get<TextRef>(t.at(r, 2)).doc] = r;
+    }
+    return rows;
+  };
+  auto docs_of = [](const Table& t, const std::vector<int64_t>& rows) {
+    std::vector<DocId> docs;
+    for (int64_t r : rows) docs.push_back(std::get<TextRef>(t.at(r, 2)).doc);
+    std::sort(docs.begin(), docs.end());
+    return docs;
+  };
+  std::vector<int64_t> outer_rows;  // O.id < 4
+  for (int64_t r = 0; r < 4; ++r) outer_rows.push_back(r);
+  std::vector<int64_t> inner_rows;  // I.grp <> 2
+  for (int64_t r = 0; r < 40; ++r) {
+    if (r % 10 != 2) inner_rows.push_back(r);
+  }
+
+  struct Selection {
+    const char* where;
+    bool outer;
+    bool inner;
+  };
+  const Selection selections[] = {
+      {"", false, false}, {"O.id < 4 AND ", true, false},
+      {"I.grp <> 2 AND ", false, true}};
+  std::set<Algorithm> chosen;
+  for (bool indexed : {true, false}) {
+    const std::string inner = indexed ? "a" : "a0";
+    const std::string outer = indexed ? "b" : "b0";
+    const Table& inner_table = *tables[indexed ? 0 : 2];
+    const Table& outer_table = *tables[indexed ? 1 : 3];
+    const std::map<DocId, int64_t> inner_row = row_of(inner_table);
+    const std::map<DocId, int64_t> outer_row = row_of(outer_table);
+    for (int64_t buffer_pages : {10000, 16}) {
+      db.set_system_params(
+          SystemParams{buffer_pages, db.disk()->page_size(), 5.0});
+      for (const Selection& s : selections) {
+        const std::string sql = "SELECT * FROM " + outer_table.name() +
+                                " O, " + inner_table.name() + " I WHERE " +
+                                s.where + "I.body SIMILAR_TO(3) O.body";
+        SCOPED_TRACE(sql + " B=" + std::to_string(buffer_pages));
+        JoinSpec spec;
+        spec.lambda = 3;
+        if (s.outer) spec.outer_subset = docs_of(outer_table, outer_rows);
+        if (s.inner) spec.inner_subset = docs_of(inner_table, inner_rows);
+        PlanChoice plan;
+        auto joined = db.Join(inner, outer, spec, &plan);
+        auto got = db.ExecuteSql(sql);
+        ASSERT_EQ(got.status().code(), joined.status().code())
+            << got.status() << " vs " << joined.status();
+        if (!joined.ok()) continue;
+
+        std::vector<QueryResultRow> want;
+        for (const OuterMatches& om : *joined) {
+          for (const Match& m : om.matches) {
+            want.push_back(QueryResultRow{outer_row.at(om.outer_doc),
+                                          inner_row.at(m.doc), m.score});
+          }
+        }
+        const std::vector<QueryResultRow>& rows = got->result.rows;
+        ASSERT_EQ(rows.size(), want.size());
+        for (size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(rows[i].outer_row, want[i].outer_row) << i;
+          EXPECT_EQ(rows[i].inner_row, want[i].inner_row) << i;
+          EXPECT_EQ(std::bit_cast<uint64_t>(rows[i].score),
+                    std::bit_cast<uint64_t>(want[i].score))
+              << i;
+        }
+        EXPECT_EQ(got->result.plan.algorithm, plan.algorithm);
+        chosen.insert(plan.algorithm);
+
+        auto analyzed = db.ExecuteSql("EXPLAIN ANALYZE " + sql);
+        ASSERT_TRUE(analyzed.ok()) << analyzed.status();
+        auto direct = db.JoinAnalyze(inner, outer, spec);
+        ASSERT_TRUE(direct.ok()) << direct.status();
+        EXPECT_EQ(analyzed->rows, got->rows);
+        EXPECT_EQ(WithoutWallClock(analyzed->result.explain),
+                  WithoutWallClock(direct->report));
+      }
+    }
+  }
+  EXPECT_EQ(chosen.size(), 3u) << "every executor should be covered";
+}
+
+// SQL joins are admitted on the planner's estimate, like Database::Join:
+// with every predicted page costing 1e9 ms, both miss a 10 s deadline at
+// admission and are shed before they run.
+TEST(DatabaseTest, SqlAdmissionChargesPlannerEstimate) {
+  DatabaseOptions options;
+  options.admission.cost_unit_ms = 1e9;
+  options.admission.default_deadline_ms = 10000;
+  Database db(options);
+  ASSERT_TRUE(db.AddCollectionFromText("resumes", kResumes).ok());
+  ASSERT_TRUE(db.AddCollectionFromText("jobs", kJobs).ok());
+  ASSERT_TRUE(db.BuildIndex("resumes").ok());
+  std::unique_ptr<Table> applicants =
+      MakeDocTable(&db, "Applicants", "resumes");
+  std::unique_ptr<Table> positions = MakeDocTable(&db, "Positions", "jobs");
+
+  JoinSpec spec;
+  spec.lambda = 1;
+  EXPECT_EQ(db.Join("resumes", "jobs", spec).status().code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(db.ExecuteSql("SELECT * FROM Positions P, Applicants A "
+                          "WHERE A.body SIMILAR_TO(1) P.body")
+                .status()
+                .code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(db.admission()->total_shed(), 2);
+  EXPECT_EQ(db.admission()->total_admitted(), 0);
 }
 
 // A never-written dynamic collection is the same empty-delta view as the

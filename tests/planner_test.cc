@@ -89,8 +89,7 @@ TEST(PlannerTest, RandomModelCanChangeRanking) {
   auto f = MakeFixture(&disk, RandomCollection(&disk, "c1", 40, 6, 50, 11),
                        RandomCollection(&disk, "c2", 25, 5, 50, 12));
   JoinPlanner seq_planner;
-  JoinPlanner rand_planner(JoinPlanner::Options{/*use_random_model=*/true,
-                                                /*measure_term_overlap=*/true});
+  JoinPlanner rand_planner(JoinPlanner::Options{.use_random_model = true});
   auto p1 = seq_planner.Plan(f->Context(100), JoinSpec{});
   auto p2 = rand_planner.Plan(f->Context(100), JoinSpec{});
   ASSERT_TRUE(p1.ok());
@@ -126,7 +125,8 @@ TEST(PlannerTest, BackwardHhnlChosenWhenCheaper) {
   EXPECT_EQ(*result, BruteForceJoin(f->inner, f->outer, f->simctx, spec));
 
   // Disabling the option keeps the paper's forward order.
-  JoinPlanner forward_only(JoinPlanner::Options{false, true, false});
+  JoinPlanner forward_only(
+      JoinPlanner::Options{.consider_backward_hhnl = false});
   auto plan2 = forward_only.Plan(ctx, spec);
   ASSERT_TRUE(plan2.ok());
   EXPECT_FALSE(plan2->hhnl_backward);

@@ -1,11 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "storage/disk_manager.h"
+#include "relational/database.h"
 #include "relational/predicate.h"
 #include "relational/table.h"
 #include "relational/text_join_query.h"
 #include "test_util.h"
-#include "text/tokenizer.h"
 
 namespace textjoin {
 namespace {
@@ -49,8 +49,6 @@ TEST(TableTest, AttachAndQueryRows) {
   EXPECT_FALSE(t.AddRow({int64_t{30}, TextRef{9}}).ok());  // out of range
   EXPECT_EQ(t.num_rows(), 2);
   EXPECT_EQ(std::get<int64_t>(t.at(1, 0)), 20);
-  EXPECT_EQ(t.RowOfDocument(1, 1), 1);
-  EXPECT_EQ(t.RowOfDocument(1, 7), -1);
 }
 
 TEST(PredicateTest, CompareAndSelect) {
@@ -75,8 +73,7 @@ TEST(PredicateTest, CompareAndSelect) {
 class MotivatingQueryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    disk_ = std::make_unique<SimulatedDisk>(4096);
-    Tokenizer tok;
+    db_.set_system_params(SystemParams{100, 4096, 5.0});
     // Applicants' resumes (inner collection C1).
     std::vector<std::string> resumes = {
         "embedded systems engineer with c and realtime kernels",
@@ -84,34 +81,22 @@ class MotivatingQueryTest : public ::testing::Test {
         "marketing specialist brand campaigns social media",
         "compiler engineer llvm optimization passes code generation",
         "database administrator query tuning backup recovery replication"};
-    CollectionBuilder rb(disk_.get(), "resumes");
-    for (const auto& text : resumes) {
-      auto doc = tok.MakeDocument(text, &vocab_);
-      TEXTJOIN_CHECK_OK(doc.status());
-      TEXTJOIN_CHECK_OK(rb.AddDocument(*doc).status());
-    }
-    resumes_ = std::make_unique<DocumentCollection>(
-        std::move(rb.Finish()).value());
+    TEXTJOIN_CHECK_OK(db_.AddCollectionFromText("resumes", resumes).status());
 
     // Positions' job descriptions (outer collection C2).
     std::vector<std::string> descriptions = {
         "seeking database engineer for query processing and indexing",
         "brand manager for social media campaigns",
         "realtime embedded software for flight control kernels"};
-    CollectionBuilder jb(disk_.get(), "jobs");
-    for (const auto& text : descriptions) {
-      auto doc = tok.MakeDocument(text, &vocab_);
-      TEXTJOIN_CHECK_OK(doc.status());
-      TEXTJOIN_CHECK_OK(jb.AddDocument(*doc).status());
-    }
-    jobs_ = std::make_unique<DocumentCollection>(
-        std::move(jb.Finish()).value());
+    TEXTJOIN_CHECK_OK(
+        db_.AddCollectionFromText("jobs", descriptions).status());
 
     applicants_ = std::make_unique<Table>(
         "Applicants", std::vector<Column>{{"SSN", ColumnType::kInt},
                                           {"Name", ColumnType::kString},
                                           {"Resume", ColumnType::kText}});
-    TEXTJOIN_CHECK_OK(applicants_->AttachCollection("Resume", resumes_.get()));
+    TEXTJOIN_CHECK_OK(
+        applicants_->AttachCollection("Resume", db_.collection("resumes")));
     const char* names[] = {"Ana", "Bo", "Cy", "Dee", "Ed"};
     for (int i = 0; i < 5; ++i) {
       TEXTJOIN_CHECK_OK(applicants_->AddRow({int64_t{1000 + i},
@@ -123,7 +108,8 @@ class MotivatingQueryTest : public ::testing::Test {
         "Positions", std::vector<Column>{{"P#", ColumnType::kInt},
                                          {"Title", ColumnType::kString},
                                          {"Job_descr", ColumnType::kText}});
-    TEXTJOIN_CHECK_OK(positions_->AttachCollection("Job_descr", jobs_.get()));
+    TEXTJOIN_CHECK_OK(
+        positions_->AttachCollection("Job_descr", db_.collection("jobs")));
     const char* titles[] = {"Database Engineer", "Brand Manager",
                             "Embedded Engineer"};
     for (int i = 0; i < 3; ++i) {
@@ -143,17 +129,13 @@ class MotivatingQueryTest : public ::testing::Test {
     return q;
   }
 
-  std::unique_ptr<SimulatedDisk> disk_;
-  Vocabulary vocab_;
-  std::unique_ptr<DocumentCollection> resumes_;
-  std::unique_ptr<DocumentCollection> jobs_;
+  Database db_;
   std::unique_ptr<Table> applicants_;
   std::unique_ptr<Table> positions_;
 };
 
 TEST_F(MotivatingQueryTest, TopApplicantPerPosition) {
-  TextJoinQueryExecutor exec(SystemParams{100, 4096, 5.0});
-  auto result = exec.Run(BaseQuery(/*lambda=*/1));
+  auto result = db_.ExecuteQuery(BaseQuery(/*lambda=*/1));
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->rows.size(), 3u);
   // Position 0 (database engineer) -> Bo (database systems engineer).
@@ -168,8 +150,7 @@ TEST_F(MotivatingQueryTest, TopApplicantPerPosition) {
 }
 
 TEST_F(MotivatingQueryTest, LambdaTwoReturnsRankedPairs) {
-  TextJoinQueryExecutor exec(SystemParams{100, 4096, 5.0});
-  auto result = exec.Run(BaseQuery(/*lambda=*/2));
+  auto result = db_.ExecuteQuery(BaseQuery(/*lambda=*/2));
   ASSERT_TRUE(result.ok());
   // Grouped by outer row; within a group scores are non-increasing.
   for (size_t i = 1; i < result->rows.size(); ++i) {
@@ -181,11 +162,10 @@ TEST_F(MotivatingQueryTest, LambdaTwoReturnsRankedPairs) {
 
 TEST_F(MotivatingQueryTest, TitleSelectionReducesOuter) {
   // SELECT ... WHERE P.Title LIKE "%Engineer%" AND Resume SIMILAR_TO(1) ...
-  TextJoinQueryExecutor exec(SystemParams{100, 4096, 5.0});
   TextJoinQuery q = BaseQuery(1);
   LikePredicate engineer("Title", "%Engineer%");
   q.outer_predicates.push_back(&engineer);
-  auto result = exec.Run(q);
+  auto result = db_.ExecuteQuery(q);
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->rows.size(), 2u);  // Brand Manager filtered out
   for (const auto& row : result->rows) {
@@ -194,11 +174,10 @@ TEST_F(MotivatingQueryTest, TitleSelectionReducesOuter) {
 }
 
 TEST_F(MotivatingQueryTest, InnerSelection) {
-  TextJoinQueryExecutor exec(SystemParams{100, 4096, 5.0});
   TextJoinQuery q = BaseQuery(1);
   ComparePredicate ssn("SSN", CompareOp::kNe, Value(int64_t{1001}));
   q.inner_predicates.push_back(&ssn);  // exclude Bo
-  auto result = exec.Run(q);
+  auto result = db_.ExecuteQuery(q);
   ASSERT_TRUE(result.ok());
   for (const auto& row : result->rows) EXPECT_NE(row.inner_row, 1);
   // Position 0 now matches the other database person, Ed.
@@ -207,21 +186,19 @@ TEST_F(MotivatingQueryTest, InnerSelection) {
 }
 
 TEST_F(MotivatingQueryTest, ReportsPlanAndIo) {
-  TextJoinQueryExecutor exec(SystemParams{100, 4096, 5.0});
-  auto result = exec.Run(BaseQuery(1));
+  auto result = db_.ExecuteQuery(BaseQuery(1));
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->plan.explanation.empty());
   EXPECT_GT(result->io.total_reads(), 0);
 }
 
 TEST_F(MotivatingQueryTest, ErrorsOnBadColumns) {
-  TextJoinQueryExecutor exec(SystemParams{100, 4096, 5.0});
   TextJoinQuery q = BaseQuery(1);
   q.outer_text_column = "Title";  // not a TEXT column
-  EXPECT_FALSE(exec.Run(q).ok());
+  EXPECT_FALSE(db_.ExecuteQuery(q).ok());
   q = BaseQuery(1);
   q.inner_text_column = "Missing";
-  EXPECT_FALSE(exec.Run(q).ok());
+  EXPECT_FALSE(db_.ExecuteQuery(q).ok());
 }
 
 TEST(ValueTest, ToStringAndTypeNames) {

@@ -14,11 +14,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/random.h"
+#include "dynamic/dynamic_collection.h"
 #include "index/inverted_file.h"
 #include "join/similarity.h"
 #include "join/topk.h"
@@ -370,6 +372,40 @@ TEST_F(ServingTest, RepeatedWorkloadHitsAtLeastHalfBitIdentically) {
   EXPECT_GE(static_cast<double>(stats.hits),
             0.5 * static_cast<double>(stats.hits + stats.misses))
       << "repeated workload must be at least half absorbed by the cache";
+}
+
+// ---------------------------------------------------------------------------
+// Input validation.
+
+// A NaN or infinite arrival never becomes due, so Run() could not finish
+// it: Submit and SubmitWrite reject it and enqueue nothing.
+TEST_F(ServingTest, NonFiniteArrivalsAreRejected) {
+  UseCollection(RandomCollection(&disk_, "docs", 40, 5, 30, 17));
+  auto dc = DynamicCollection::Create(
+      &disk_, "live", {Document::FromSortedCells({{1, 2}, {3, 1}})});
+  ASSERT_TRUE(dc.ok()) << dc.status();
+  auto s = NewScheduler(ServeOptions());
+  ASSERT_TRUE(s->AddDynamicCollection("live", dc->get()).ok());
+  const int64_t epoch = (*dc)->epoch();
+
+  for (double arrival : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+    ASSERT_EQ(s->Submit(MakeQuery({{0, 1}}, 5, arrival)).status().code(),
+              StatusCode::kInvalidArgument)
+        << arrival;
+    ServeWrite write;
+    write.collection = "live";
+    write.cells = {{2, 1}};
+    write.arrival_ms = arrival;
+    ASSERT_EQ(s->SubmitWrite(write).status().code(),
+              StatusCode::kInvalidArgument)
+        << arrival;
+  }
+  auto records = s->Run();
+  ASSERT_TRUE(records.ok()) << records.status();
+  EXPECT_TRUE(records->empty());
+  EXPECT_TRUE(s->TakeWriteRecords().empty());
+  EXPECT_EQ((*dc)->epoch(), epoch) << "a rejected write must not apply";
 }
 
 // ---------------------------------------------------------------------------

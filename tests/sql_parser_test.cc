@@ -1,9 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "storage/disk_manager.h"
+#include "relational/database.h"
 #include "relational/sql_parser.h"
 #include "test_util.h"
-#include "text/tokenizer.h"
 
 namespace textjoin {
 namespace {
@@ -12,38 +11,26 @@ namespace {
 class SqlParserTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    disk_ = std::make_unique<SimulatedDisk>(4096);
-    Tokenizer tok;
-    CollectionBuilder rb(disk_.get(), "resumes");
-    const char* resumes[] = {
+    db_.set_system_params(SystemParams{100, 4096, 5.0});
+    const std::vector<std::string> resumes = {
         "database indexing query processing",
         "embedded realtime control firmware",
         "social media brand marketing",
     };
-    for (const char* text : resumes) {
-      TEXTJOIN_CHECK_OK(
-          rb.AddDocument(*tok.MakeDocument(text, &vocab_)).status());
-    }
-    resumes_ = std::make_unique<DocumentCollection>(
-        std::move(rb.Finish()).value());
+    TEXTJOIN_CHECK_OK(db_.AddCollectionFromText("resumes", resumes).status());
 
-    CollectionBuilder jb(disk_.get(), "jobs");
-    const char* jobs[] = {
+    const std::vector<std::string> jobs = {
         "database engineer for query processing",
         "brand manager social campaigns",
     };
-    for (const char* text : jobs) {
-      TEXTJOIN_CHECK_OK(
-          jb.AddDocument(*tok.MakeDocument(text, &vocab_)).status());
-    }
-    jobs_ = std::make_unique<DocumentCollection>(
-        std::move(jb.Finish()).value());
+    TEXTJOIN_CHECK_OK(db_.AddCollectionFromText("jobs", jobs).status());
 
     applicants_ = std::make_unique<Table>(
         "Applicants", std::vector<Column>{{"SSN", ColumnType::kInt},
                                           {"Name", ColumnType::kString},
                                           {"Resume", ColumnType::kText}});
-    TEXTJOIN_CHECK_OK(applicants_->AttachCollection("Resume", resumes_.get()));
+    TEXTJOIN_CHECK_OK(
+        applicants_->AttachCollection("Resume", db_.collection("resumes")));
     TEXTJOIN_CHECK_OK(applicants_->AddRow(
         {int64_t{1}, std::string("Ann"), TextRef{0}}));
     TEXTJOIN_CHECK_OK(applicants_->AddRow(
@@ -55,7 +42,8 @@ class SqlParserTest : public ::testing::Test {
         "Positions", std::vector<Column>{{"P#", ColumnType::kInt},
                                          {"Title", ColumnType::kString},
                                          {"Job_descr", ColumnType::kText}});
-    TEXTJOIN_CHECK_OK(positions_->AttachCollection("Job_descr", jobs_.get()));
+    TEXTJOIN_CHECK_OK(
+        positions_->AttachCollection("Job_descr", db_.collection("jobs")));
     TEXTJOIN_CHECK_OK(positions_->AddRow(
         {int64_t{10}, std::string("Database Engineer"), TextRef{0}}));
     TEXTJOIN_CHECK_OK(positions_->AddRow(
@@ -65,10 +53,7 @@ class SqlParserTest : public ::testing::Test {
         std::vector<const Table*>{applicants_.get(), positions_.get()});
   }
 
-  std::unique_ptr<SimulatedDisk> disk_;
-  Vocabulary vocab_;
-  std::unique_ptr<DocumentCollection> resumes_;
-  std::unique_ptr<DocumentCollection> jobs_;
+  Database db_;
   std::unique_ptr<Table> applicants_;
   std::unique_ptr<Table> positions_;
   std::unique_ptr<SqlParser> parser_;
@@ -126,8 +111,7 @@ TEST_F(SqlParserTest, EndToEndExecution) {
       "SELECT P.Title, A.Name FROM Positions P, Applicants A "
       "WHERE A.Resume SIMILAR_TO(1) P.Job_descr");
   ASSERT_TRUE(bound.ok());
-  TextJoinQueryExecutor exec(SystemParams{100, 4096, 5.0});
-  auto result = exec.Run(bound->query());
+  auto result = db_.ExecuteQuery(bound->query());
   ASSERT_TRUE(result.ok()) << result.status();
   ASSERT_EQ(result->rows.size(), 2u);
   // Database job -> Ann; brand job -> Cam.
@@ -146,8 +130,7 @@ TEST_F(SqlParserTest, ExplainAnalyzePrefixParsesAndRuns) {
   ASSERT_TRUE(bound.ok()) << bound.status();
   EXPECT_TRUE(bound->query().explain_analyze);
 
-  TextJoinQueryExecutor exec(SystemParams{100, 4096, 5.0});
-  auto result = exec.Run(bound->query());
+  auto result = db_.ExecuteQuery(bound->query());
   ASSERT_TRUE(result.ok()) << result.status();
   // Same rows as the plain query, plus the rendered report and the stats
   // tree of the executed plan.

@@ -164,7 +164,8 @@ class Args {
   }
 
   // Int/Double exit with a one-line error on malformed values (e.g.
-  // `--fault-rate abc` or `--buffer 12x`) instead of throwing.
+  // `--fault-rate abc`, `--buffer 12x` or `--rate nan`) instead of
+  // throwing.
   int64_t Int(const std::string& name, int64_t def) {
     auto v = Flag(name);
     if (!v) return def;
@@ -183,8 +184,10 @@ class Args {
     errno = 0;
     char* end = nullptr;
     const double parsed = std::strtod(v->c_str(), &end);
-    if (errno != 0 || end == v->c_str() || *end != '\0') {
-      BadValue(name, *v, "a number");
+    // strtod also accepts "inf" and "nan".
+    if (errno != 0 || end == v->c_str() || *end != '\0' ||
+        !std::isfinite(parsed)) {
+      BadValue(name, *v, "a finite number");
     }
     return parsed;
   }
