@@ -62,8 +62,9 @@ void ModelVsMeasured() {
 
   std::printf("df skew: C1=%.2f C2=%.2f, q=%.3f, delta=%.3f\n",
               in.c1.df_skew, in.c2.df_skew, in.q, in.query.delta);
-  std::printf("%-8s %16s %16s %16s %16s\n", "algo", "accum(model)",
-              "accum(meas)", "decoded(model)", "decoded(meas)");
+  std::printf("%-8s %14s %14s %14s %14s %14s %14s\n", "algo",
+              "accum(model)", "accum(meas)", "compares(mod)", "compares(meas)",
+              "decoded(model)", "decoded(meas)");
 
   auto report = [&](const char* name, TextJoinAlgorithm& algo,
                     const CpuEstimate& est) {
@@ -72,9 +73,11 @@ void ModelVsMeasured() {
     auto r = algo.Run(ctx, spec);
     TEXTJOIN_CHECK_OK(r.status());
     const CpuStats cpu = collector.Finish().root.cpu;
-    std::printf("%-8s %16.0f %16lld %16.0f %16lld\n", name,
+    std::printf("%-8s %14.0f %14lld %14.0f %14lld %14.0f %14lld\n", name,
                 est.accumulations,
                 static_cast<long long>(cpu.accumulations),
+                est.cell_compares,
+                static_cast<long long>(cpu.cell_compares),
                 est.cells_decoded,
                 static_cast<long long>(cpu.cells_decoded));
   };

@@ -1,6 +1,5 @@
 // Wall-time trajectory of the dispatched hot-path kernels: every kernel
-// family (posting-block decode, contribution scaling, pair bounds, term
-// merge) timed at every dispatch level compiled into this binary and
+// family (posting-block decode, contribution scaling, term merge) timed at every dispatch level compiled into this binary and
 // usable on this CPU, against the scalar varint decode as the pre-SIMD
 // baseline. Reports ns/op and cells/sec per (kernel, level) cell and
 // verifies — before timing anything — that every level produces bitwise
@@ -162,17 +161,6 @@ void Main(bool smoke, bool json) {
     kernel::DoubleBuffer ref_contrib(static_cast<size_t>(kBlock));
     kernel::DoubleBuffer got_contrib(static_cast<size_t>(kBlock));
     scalar.scale_cells(cells.data(), kBlock, 1.25, 0.75, ref_contrib.data());
-    std::vector<double> bounds(static_cast<size_t>(nb) * 4);
-    for (int64_t i = 0; i < nb; ++i) {
-      bounds[i * 4 + 0] = 1.0 + 0.001 * static_cast<double>(i);  // max_w
-      bounds[i * 4 + 1] = 9.0 + 0.010 * static_cast<double>(i);  // sum_w
-      bounds[i * 4 + 2] = 3.0 + 0.003 * static_cast<double>(i);  // norm_w
-      bounds[i * 4 + 3] = 1.0 / (3.0 + 0.003 * static_cast<double>(i));
-    }
-    kernel::DoubleBuffer ref_ub(static_cast<size_t>(nb));
-    kernel::DoubleBuffer got_ub(static_cast<size_t>(nb));
-    scalar.pair_bounds(bounds.data(), nb, 2.0, 40.0, 8.0, 0.125, true,
-                       ref_ub.data());
     std::vector<DCell> da, db;
     for (int64_t i = 0; i < nb; ++i) {
       da.push_back(DCell{static_cast<TermId>(2 * i), 3});
@@ -192,12 +180,6 @@ void Main(bool smoke, bool json) {
       if (std::memcmp(ref_contrib.data(), got_contrib.data(),
                       sizeof(double) * static_cast<size_t>(kBlock)) != 0) {
         Fatal("scale_cells output", k.name);
-      }
-      k.pair_bounds(bounds.data(), nb, 2.0, 40.0, 8.0, 0.125, true,
-                    got_ub.data());
-      if (std::memcmp(ref_ub.data(), got_ub.data(),
-                      sizeof(double) * static_cast<size_t>(nb)) != 0) {
-        Fatal("pair_bounds output", k.name);
       }
       kernel::MergeCursor cur;
       int64_t nm = 0;
@@ -262,21 +244,6 @@ void Main(bool smoke, bool json) {
           /*min_rounds=*/1000);
       results.push_back(Cell{"scale_cells", k.name, ns,
                              static_cast<double>(kBlock) / (ns * 1e-9)});
-    }
-    {
-      const int64_t nb = 1024;
-      std::vector<double> bounds(static_cast<size_t>(nb) * 4, 1.0);
-      for (int64_t i = 0; i < nb; ++i) {
-        bounds[i * 4 + 1] = 5.0 + static_cast<double>(i % 17);
-      }
-      kernel::DoubleBuffer out(static_cast<size_t>(nb));
-      const double ns = MeasureNs([&] {
-        k.pair_bounds(bounds.data(), nb, 2.0, 40.0, 8.0, 0.125, true,
-                      out.data());
-      });
-      results.push_back(
-          Cell{"pair_bounds", k.name, ns,
-               static_cast<double>(nb) / (ns * 1e-9)});
     }
     {
       // Two merge shapes: interleaved (term strides 2 and 3 — runs of 1-2

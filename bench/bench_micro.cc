@@ -14,7 +14,6 @@
 #include "common/random.h"
 #include "index/btree.h"
 #include "index/inverted_file.h"
-#include "join/pruning.h"
 #include "join/similarity.h"
 #include "join/topk.h"
 #include "kernel/aligned.h"
@@ -78,86 +77,6 @@ void BM_WeightedDot(benchmark::State& state) {
                           static_cast<int64_t>(sizeof(DCell)));
 }
 BENCHMARK(BM_WeightedDot)->Arg(32)->Arg(64)->Arg(512);
-
-// Minimal two-collection pair so the weighted kernels can resolve their
-// configuration; the benchmark documents themselves never touch it.
-struct TrivialCollections {
-  explicit TrivialCollections(SimulatedDisk* disk)
-      : c1(Build(disk, "ka")), c2(Build(disk, "kb")) {}
-  static DocumentCollection Build(SimulatedDisk* disk, const char* name) {
-    CollectionBuilder b(disk, name);
-    TEXTJOIN_CHECK_OK(
-        b.AddDocument(Document::FromSortedCells({{1, 1}})).status());
-    return std::move(b.Finish()).value();
-  }
-  DocumentCollection c1, c2;
-};
-
-// The adaptive-merge decision in one picture: sweep the document length
-// ratio with each intersection kernel. Linear pays short+long steps per
-// pair, galloping short*(2*log2(ratio)+2); adaptive switches between them
-// at kGallopSizeRatio. All three produce bit-identical sums.
-void BM_MergeKernelSkew(benchmark::State& state) {
-  const int64_t skew = state.range(0);
-  const auto kernel = static_cast<MergeKernel>(state.range(1));
-  const int64_t short_terms = 48;
-  const int64_t long_terms = short_terms * skew;
-  SimulatedDisk disk(4096);
-  TrivialCollections cols(&disk);
-  auto ctx = SimilarityContext::Create(cols.c1, cols.c2, {});
-  Document a = MakeDoc(short_terms, long_terms * 4, 1);
-  Document b = MakeDoc(long_terms, long_terms * 4, 2);
-  int64_t steps = 0;
-  for (auto _ : state) {
-    DotDetail d = WeightedDotKernel(a, b, *ctx, kernel);
-    steps = d.merge_steps;
-    benchmark::DoNotOptimize(d.acc);
-  }
-  state.counters["merge_steps"] = static_cast<double>(steps);
-  state.SetItemsProcessed(state.iterations() * steps);
-  state.SetBytesProcessed(state.iterations() * (short_terms + long_terms) *
-                          static_cast<int64_t>(sizeof(DCell)));
-}
-BENCHMARK(BM_MergeKernelSkew)
-    ->ArgsProduct({{1, 4, 16, 64, 256},
-                   {static_cast<int64_t>(MergeKernel::kLinear),
-                    static_cast<int64_t>(MergeKernel::kGalloping),
-                    static_cast<int64_t>(MergeKernel::kAdaptive)}});
-
-// The bound-check fast path HHNL runs before each candidate merge: three
-// precomputed scalars per side, two multiplies and a heap comparison —
-// O(1) regardless of document size, which is the whole point of checking
-// before merging.
-void BM_PairBoundCheck(benchmark::State& state) {
-  const int64_t terms = state.range(0);
-  SimulatedDisk disk(4096);
-  TrivialCollections cols(&disk);
-  auto ctx = SimilarityContext::Create(cols.c1, cols.c2, {});
-  Document outer = MakeDoc(terms, terms * 4, 1);
-  DocBounds outer_bounds = ComputeDocBounds(outer, *ctx, 1.0);
-  constexpr int kCandidates = 256;
-  std::vector<DocBounds> cand;
-  for (int i = 0; i < kCandidates; ++i) {
-    cand.push_back(ComputeDocBounds(
-        MakeDoc(terms, terms * 4, 100 + static_cast<uint64_t>(i)), *ctx, 1.0));
-  }
-  TopKAccumulator heap(20);
-  Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
-    heap.Add(static_cast<DocId>(i),
-             static_cast<double>(1 + rng.NextBounded(1000)));
-  }
-  for (auto _ : state) {
-    int64_t pruned = 0;
-    for (int i = 0; i < kCandidates; ++i) {
-      const double ub = PairUpperBound(outer_bounds, cand[i]) * kBoundSlack;
-      pruned += heap.CannotQualify(static_cast<DocId>(i), ub) ? 1 : 0;
-    }
-    benchmark::DoNotOptimize(pruned);
-  }
-  state.SetItemsProcessed(state.iterations() * kCandidates);
-}
-BENCHMARK(BM_PairBoundCheck)->Arg(32)->Arg(512)->Arg(2048);
 
 void BM_TopKAdd(benchmark::State& state) {
   const int64_t k = state.range(0);

@@ -3,27 +3,23 @@
 // idf, cosine+idf). The TREC profiles are statistics-only, so each
 // workload is a synthetic collection pair scaled down 1:4 in per-document
 // terms (and far down in document count) while keeping the profiles'
-// length RATIOS — the quantity the adaptive merge kernel and the bound
-// checks respond to. Every join runs twice, pruning on (the default
-// JoinSpec) and off (the paper's executors), the results are verified
-// bit-identical (scores AND tie-breaks) in every cell, and the table
-// reports the measured CPU counters side by side:
+// length RATIOS. Every join runs twice, pruning on (the default JoinSpec)
+// and off (the paper's executors), the results are verified bit-identical
+// (scores AND tie-breaks) in every cell, and the table reports the
+// measured CPU counters side by side:
 //
 //   steps   merge-step CPU cost: cell compares of the merge walks plus
 //           similarity accumulations
-//   total   steps + heap offers + cells decoded + bound checks, i.e.
-//           everything the run paid including the checks themselves
-//   pruned  candidate pairs HHNL's top-lambda bounds skipped outright
-//   blk     blocks passed over: d-cell blocks HHNL's galloping merge
-//           ruled out with one summary probe, and VVM posting blocks
-//           outside the current pass's outer slice, never decoded
+//   total   steps + heap offers + cells decoded, i.e. everything the run
+//           paid
+//   blk     VVM posting blocks outside the current pass's outer slice,
+//           never decoded
 //
-// HVNL has no pruning, so its rows must show identical counters. The
-// FR(x2) x DOE workload is the paper's Group 5 merge transform applied to
-// the FR-like side: at a ~23x length ratio HHNL's adaptive kernel gallops
-// and merge steps collapse. The DOE subset x DOE workload forces VVM
-// through many matrix passes; there the pass-slice block skip must cut
-// merge steps by at least 20% (the run exits 1 otherwise).
+// The switch gates only VVM's pass-slice block skip; HVNL has no pruning,
+// so its rows must show identical counters (HHNL scores its batch
+// term-at-a-time and is not ablated here). The DOE subset x DOE workload
+// forces VVM through many matrix passes; there the pass-slice block skip
+// must cut merge steps by at least 20% (the run exits 1 otherwise).
 //
 // --smoke runs a small DOE x DOE workload plus the multi-pass shape (CI).
 
@@ -35,7 +31,6 @@
 
 #include "common/logging.h"
 #include "index/inverted_file.h"
-#include "join/hhnl.h"
 #include "join/hvnl.h"
 #include "join/vvm.h"
 #include "obs/query_stats.h"
@@ -47,6 +42,7 @@ namespace {
 
 constexpr int64_t kPage = 512;
 constexpr int64_t kBufferPages = 1024;
+constexpr int64_t kLambda = 20;
 
 // The merge-step reduction the multi-pass VVM workload must reach in every
 // cell.
@@ -72,7 +68,7 @@ Measured RunOnce(SimulatedDisk* disk, const DocumentCollection& inner,
                  const InvertedFile& index, const DocumentCollection& outer,
                  const InvertedFile& outer_index,
                  const SimilarityContext& simctx, TextJoinAlgorithm& algo,
-                 bool prune, int64_t lambda, int64_t buffer_pages) {
+                 bool prune, int64_t buffer_pages) {
   JoinContext ctx;
   ctx.inner = &inner;
   ctx.outer = &outer;
@@ -83,7 +79,7 @@ Measured RunOnce(SimulatedDisk* disk, const DocumentCollection& inner,
   QueryStatsCollector collector(disk);
   ctx.stats = &collector;
   JoinSpec spec;
-  spec.lambda = lambda;
+  spec.lambda = kLambda;
   spec.similarity = simctx.config;
   spec.prune = prune;
   auto r = algo.Run(ctx, spec);
@@ -94,8 +90,7 @@ Measured RunOnce(SimulatedDisk* disk, const DocumentCollection& inner,
 int64_t Steps(const CpuStats& c) { return c.cell_compares + c.accumulations; }
 
 int64_t TotalWork(const CpuStats& c) {
-  return c.cell_compares + c.accumulations + c.heap_offers + c.cells_decoded +
-         c.bound_checks;
+  return c.cell_compares + c.accumulations + c.heap_offers + c.cells_decoded;
 }
 
 double Reduction(int64_t off, int64_t on) {
@@ -110,7 +105,6 @@ const char* SimName(const SimilarityConfig& sim) {
 
 struct Workload {
   const char* title;
-  int64_t lambda = 20;
   int64_t buffer_pages = kBufferPages;
   bool vvm_only = false;  // the multi-pass shape
 };
@@ -132,33 +126,30 @@ void RunAblation(SimulatedDisk* disk, const std::string& key,
   const char* comp =
       compression == PostingCompression::kNone ? "5-byte" : "delta+varint";
   std::printf("\n== %s  [%s, lambda=%lld, B=%lld] ==\n", w.title, comp,
-              static_cast<long long>(w.lambda),
+              static_cast<long long>(kLambda),
               static_cast<long long>(w.buffer_pages));
-  std::printf("%-5s %-7s %12s %12s %7s %12s %12s %7s %8s %8s\n", "algo",
-              "sim", "steps(off)", "steps(on)", "red%", "total(off)",
-              "total(on)", "red%", "pruned", "blk");
+  std::printf("%-5s %-7s %12s %12s %7s %12s %12s %7s %8s\n", "algo", "sim",
+              "steps(off)", "steps(on)", "red%", "total(off)", "total(on)",
+              "red%", "blk");
 
   for (const SimilarityConfig sim :
        {SimilarityConfig{false, false}, SimilarityConfig{false, true},
         SimilarityConfig{true, true}}) {
     auto simctx = SimilarityContext::Create(inner, outer, sim);
     TEXTJOIN_CHECK_OK(simctx.status());
-    HhnlJoin hhnl;
     HvnlJoin hvnl;
     VvmJoin vvm;
     struct Row {
       const char* label;
       TextJoinAlgorithm* algo;
     };
-    for (const Row& row :
-         {Row{"hhnl", &hhnl}, Row{"hvnl", &hvnl}, Row{"vvm", &vvm}}) {
+    for (const Row& row : {Row{"hvnl", &hvnl}, Row{"vvm", &vvm}}) {
       if (w.vvm_only && row.algo != &vvm) continue;
       Measured off = RunOnce(disk, inner, *index, outer, *outer_index,
-                             *simctx, *row.algo, /*prune=*/false, w.lambda,
+                             *simctx, *row.algo, /*prune=*/false,
                              w.buffer_pages);
       Measured on = RunOnce(disk, inner, *index, outer, *outer_index,
-                            *simctx, *row.algo, /*prune=*/true, w.lambda,
-                            w.buffer_pages);
+                            *simctx, *row.algo, /*prune=*/true, w.buffer_pages);
       if (!(off.result == on.result)) {
         std::printf("FATAL: %s pruned result differs (%s, %s, %s)\n",
                     row.label, w.title, comp, SimName(sim));
@@ -167,14 +158,12 @@ void RunAblation(SimulatedDisk* disk, const std::string& key,
       const double red = Reduction(Steps(off.cpu), Steps(on.cpu));
       if (w.vvm_only) g_multipass_min = std::min(g_multipass_min, red);
       std::printf(
-          "%-5s %-7s %12lld %12lld %6.1f%% %12lld %12lld %6.1f%% %8lld "
-          "%8lld\n",
+          "%-5s %-7s %12lld %12lld %6.1f%% %12lld %12lld %6.1f%% %8lld\n",
           row.label, SimName(sim), static_cast<long long>(Steps(off.cpu)),
           static_cast<long long>(Steps(on.cpu)), red,
           static_cast<long long>(TotalWork(off.cpu)),
           static_cast<long long>(TotalWork(on.cpu)),
           Reduction(TotalWork(off.cpu), TotalWork(on.cpu)),
-          static_cast<long long>(on.cpu.pairs_pruned),
           static_cast<long long>(on.cpu.blocks_skipped));
     }
   }
@@ -185,8 +174,8 @@ void Main(bool smoke) {
   std::printf(
       "== Pruning ablation: JoinSpec::prune on/off (delta=0.1) ==\n"
       "steps = cell compares + accumulations (the merge-step CPU cost);\n"
-      "total adds heap offers, cells decoded and the bound checks the\n"
-      "pruned run spends. Results verified bit-identical in every cell.\n");
+      "total adds heap offers and cells decoded. Results verified\n"
+      "bit-identical in every cell.\n");
 
   if (smoke) {
     DocumentCollection a = Gen(&disk, "sa", 120, 22.0, 21);
@@ -196,8 +185,7 @@ void Main(bool smoke) {
     DocumentCollection fa = Gen(&disk, "fa", 30, 22.0, 23, 100, 0.5);
     DocumentCollection fb = Gen(&disk, "fb", 2000, 22.0, 24, 100, 0.5);
     RunAblation(&disk, "s2",
-                Workload{"smoke: DOE subset x DOE (VVM multi-pass)", 20, 6,
-                         true},
+                Workload{"smoke: DOE subset x DOE (VVM multi-pass)", 6, true},
                 fa, fb, PostingCompression::kDeltaVarint);
   } else {
     // Per-document terms are the TREC averages / 4 (WSJ 329 -> 82,
@@ -206,12 +194,6 @@ void Main(bool smoke) {
     DocumentCollection wsj2 = Gen(&disk, "wsj2", 240, 82.0, 12);
     DocumentCollection fr = Gen(&disk, "fr", 120, 254.0, 13);
     DocumentCollection doe = Gen(&disk, "doe", 400, 22.0, 14);
-    DocumentCollection doe1 = Gen(&disk, "doe1", 400, 22.0, 15);
-    // Group 5 transform on the FR side: merging consecutive documents
-    // doubles the length skew against DOE (ratio ~23, past the galloping
-    // switch at 16).
-    auto fr2 = MergeDocuments(&disk, "fr2", fr, 2);
-    TEXTJOIN_CHECK_OK(fr2.status());
     // DOE subset x DOE: a small C1 (30 documents) joined against a large
     // C2 (2000 documents), 22 terms/doc both sides over a stopworded
     // (flattened, zipf 0.5) vocabulary. C2's entries are dense — several
@@ -235,15 +217,7 @@ void Main(bool smoke) {
                   Workload{"FR x DOE (254 vs 22 terms/doc)"}, fr, doe,
                   compression);
       RunAblation(&disk, "w3" + tag,
-                  Workload{"FR(x2) x DOE (508 vs 22 terms/doc, gallops)"},
-                  *fr2, doe, compression);
-      // Selective query on the short-document profile: a small result
-      // budget tightens HHNL's threshold early.
-      RunAblation(&disk, "w4" + tag,
-                  Workload{"DOE x DOE, selective", /*lambda=*/3}, doe1, doe,
-                  compression);
-      RunAblation(&disk, "w5" + tag,
-                  Workload{"DOE subset x DOE (VVM multi-pass)", 20, 8, true},
+                  Workload{"DOE subset x DOE (VVM multi-pass)", 8, true},
                   doesub, doebig, compression);
     }
   }

@@ -49,14 +49,11 @@ struct CostInputs {
   // and scanned sequentially (Groups 1, 2, 4, 5).
   bool outer_reads_random = false;
 
-  // CPU-model pruning knobs (cost/cpu_model.h): whether the executors run
-  // with JoinSpec::prune (HHNL's adaptive block-summary galloping, VVM's
-  // pass-slice block skip), and the expected fraction of candidate pairs
-  // HHNL's top-lambda bounds skip. Both default to "off" so the I/O
-  // formulas and the unpruned CPU estimates are unchanged; the planner
-  // fills them from JoinSpec::prune.
+  // CPU-model knob (cost/cpu_model.h): whether the executors run with
+  // JoinSpec::prune (VVM's pass-slice block skip). Defaults to "off" so
+  // the unpruned CPU estimates are unchanged; the planner fills it from
+  // JoinSpec::prune. The I/O formulas ignore it.
   bool prune = false;
-  double pruning_rate = 0.0;
 };
 
 // Cost of one algorithm under the two device models.

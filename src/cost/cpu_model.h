@@ -16,42 +16,29 @@ namespace textjoin {
 // A useful invariant: the number of similarity *accumulations* is the
 // same for all three algorithms —
 //   sum over shared terms t of df1(t) * df2(t)  ~=  m * N1 * c
-// — they differ in the surrounding work (HHNL walks both documents per
-// pair, HVNL/VVM decode inverted cells), which is what makes CPU-aware
-// ranking interesting when everything fits in memory.
+// — they differ in the surrounding work (HHNL indexes each resident batch
+// and probes it with every streamed document, HVNL/VVM decode inverted
+// cells), which is what makes CPU-aware ranking interesting when
+// everything fits in memory.
 struct CpuEstimate {
   double cell_compares = 0;
   double accumulations = 0;
   double heap_offers = 0;
   double cells_decoded = 0;
-  // Pruning extension (join/pruning.h): bound evaluations the executor
-  // performs (counted work), and pairs it expects to skip (avoided work —
-  // informational, not part of Total()).
-  double bound_checks = 0;
-  double pairs_pruned = 0;
 
   double Total() const {
-    return cell_compares + accumulations + heap_offers + cells_decoded +
-           bound_checks;
+    return cell_compares + accumulations + heap_offers + cells_decoded;
   }
 };
 
-// Expected fraction of candidate pairs HHNL's top-lambda bounds prune away.
-// Of the ~delta*N1 non-zero candidates per outer document only lambda must
-// be evaluated in full; the catalog bounds are loose (max * sum products),
-// so the model credits only half of the provably-losing remainder. Clamped
-// to [0, 0.9]; 0 when pruning cannot help (lambda >= delta*N1).
-double ExpectedPruningRate(const CostInputs& in);
-
-// in.prune models JoinSpec::prune. For HHNL it caps the per-pair merge
-// cost by the block-summary galloping kernel's probe count on skewed
-// document lengths, and a positive in.pruning_rate (the planner sets it
-// via ExpectedPruningRate) discounts the merge, accumulation and heap work
-// by the expected pruning rate and charges the bound checks instead. For
-// VVM it models the pass-slice block skip: each C2 block is decoded and
-// pass-filtered only in the pass owning its span. HVNL has no pruning.
-// With both knobs at their defaults (false, 0) the estimates are exactly
-// the unpruned formulas.
+// HHNL's estimate is the forward order's (join/hhnl.h): with X = the
+// forward batch size, every outer cell is indexed once and every inner
+// cell probes each of the ceil(m/X) batches,
+//   cell_compares = m*K2 + ceil(m/X)*N1*K1.
+// in.prune models JoinSpec::prune, which only VVM reads: the pass-slice
+// block skip decodes and pass-filters each C2 block only in the pass
+// owning its span. With in.prune false the VVM estimate is the unpruned
+// formula.
 CpuEstimate HhnlCpuCost(const CostInputs& in);
 CpuEstimate HvnlCpuCost(const CostInputs& in);
 CpuEstimate VvmCpuCost(const CostInputs& in);

@@ -12,8 +12,9 @@ namespace textjoin {
 // as further work (Section 7); these counters are the measurement side
 // of that extension — see cost/cpu_model.h for the analytic side.
 struct CpuStats {
-  // Steps of the sorted-merge walk over d-cells (HHNL) — one per cell
-  // visited while intersecting two documents.
+  // Cell visits. HHNL: each resident d-cell once when its batch is
+  // indexed, and each streamed d-cell once per batch it probes (join/
+  // hhnl.h). HVNL and VVM: merge-walk visits over inverted cells.
   int64_t cell_compares = 0;
   // Similarity accumulations: one multiply-add into a running pair score.
   int64_t accumulations = 0;
@@ -22,16 +23,12 @@ struct CpuStats {
   // i-cells decoded from fetched or scanned inverted entries.
   int64_t cells_decoded = 0;
 
-  // Pruning-layer counters (join/pruning.h). `bound_checks` is work done
-  // (one upper-bound evaluation each); the other two count work AVOIDED:
-  // HHNL candidate pairs skipped before any merge step, and merges cut
-  // short by the running suffix bound.
+  // Always 0: no executor bounds or prunes candidate pairs. Kept because
+  // the wall-clock benchmark (bench_e2e) reports them.
   int64_t bound_checks = 0;
   int64_t pairs_pruned = 0;
-  int64_t early_exits = 0;
-  // Blocks passed over (work avoided): d-cell blocks a galloping HHNL
-  // merge jumped with one summary probe, and VVM posting blocks left
-  // undecoded because they hold no outer document of the current pass.
+  // VVM posting blocks left undecoded because they hold no outer document
+  // of the current pass (work avoided, JoinSpec::prune).
   int64_t blocks_skipped = 0;
 
   CpuStats& operator+=(const CpuStats& o) {
@@ -41,7 +38,6 @@ struct CpuStats {
     cells_decoded += o.cells_decoded;
     bound_checks += o.bound_checks;
     pairs_pruned += o.pairs_pruned;
-    early_exits += o.early_exits;
     blocks_skipped += o.blocks_skipped;
     return *this;
   }
@@ -56,23 +52,17 @@ struct CpuStats {
     d.cells_decoded = cells_decoded - o.cells_decoded;
     d.bound_checks = bound_checks - o.bound_checks;
     d.pairs_pruned = pairs_pruned - o.pairs_pruned;
-    d.early_exits = early_exits - o.early_exits;
     d.blocks_skipped = blocks_skipped - o.blocks_skipped;
     return d;
   }
 
   // A single scalar for comparisons: every counted operation weighted
   // equally (callers can weight the fields themselves when they know
-  // their machine). Bound checks are work performed; the other pruning
-  // counters record work avoided and do not contribute.
+  // their machine). Skipped blocks record work avoided and do not
+  // contribute.
   double Total() const {
     return static_cast<double>(cell_compares + accumulations + heap_offers +
-                               cells_decoded + bound_checks);
-  }
-
-  bool any_pruning() const {
-    return bound_checks != 0 || pairs_pruned != 0 || early_exits != 0 ||
-           blocks_skipped != 0;
+                               cells_decoded);
   }
 
   std::string ToString() const {

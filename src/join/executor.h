@@ -28,11 +28,11 @@ struct JoinSpec {
   int64_t lambda = 20;
   SimilarityConfig similarity;
 
-  // Exact pruning, on by default: HHNL's top-lambda pair bounds, early
-  // exit and adaptive block-summary galloping (join/pruning.h), and VVM's
-  // pass-slice block skip (join/vvm.h). Off runs the paper's three
-  // executors exactly. Pure CPU optimization — results and metered I/O are
-  // identical either way; only CpuStats changes.
+  // Exact pruning, on by default. It switches VVM's pass-slice block skip
+  // (join/vvm.h), the only pruning left; HHNL scores its batch
+  // term-at-a-time and needs none (join/hhnl.h). Off runs the paper's
+  // three executors exactly. Pure CPU optimization — results and metered
+  // I/O are identical either way; only CpuStats changes.
   bool prune = true;
 
   // Per-query lifecycle limits, forwarded into the QueryGovernor the

@@ -1,124 +1,110 @@
 #include "join/hhnl.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
-#include "join/pruning.h"
-#include "kernel/aligned.h"
-#include "kernel/dispatch.h"
 #include "obs/query_stats.h"
 
 namespace textjoin {
 
 namespace {
 
-// Per-side pruning state of the HHNL pair loops. Bound profiles come from
-// the catalog when idf weighting is off (no cell scan) and from one pass
-// over the cells otherwise.
-struct PairPruner {
-  explicit PairPruner(const JoinSpec& spec, const SimilarityContext& sim)
-      : prune(spec.prune), sim(sim) {}
-
-  bool prune;
-  const SimilarityContext& sim;
-
-  // Bound-tightness telemetry: mean score/bound ratio of evaluated pairs.
-  double tightness_sum = 0;
-  int64_t tightness_n = 0;
-
-  DocBounds Bounds(const DocumentCollection& collection, DocId doc,
-                   const Document& d, const DocumentNorms& norms) const {
-    const double n = sim.config.cosine_normalize ? norms.of(doc) : 1.0;
-    return sim.config.use_idf ? ComputeDocBounds(d, sim, n)
-                              : CatalogDocBounds(collection, doc, n);
+// Term-at-a-time index of one resident HHNL batch: for each term, the
+// (slot, weight) cells of the resident documents holding it, in slot order.
+// A streamed document walks its cells in ascending term order and adds
+// each product into a dense per-slot accumulator, so every pair sums the
+// same products in the same order as WeightedDot — bit-identical scores.
+class BatchIndex {
+ public:
+  // Indexes `docs`; docs[i] becomes slot i. The caller may drop the
+  // documents afterwards. Each indexed cell counts as one cell compare.
+  void Build(const std::vector<Document>& docs, CpuStats* cpu) {
+    TermId max_term = 0;
+    size_t total = 0;
+    for (const Document& d : docs) {
+      if (!d.empty()) max_term = std::max(max_term, d.cells().back().term);
+      total += d.cells().size();
+    }
+    TEXTJOIN_CHECK_LT(total, size_t{UINT32_MAX});
+    // Counting sort by term: start_[t] becomes the first cell of term t and
+    // start_[t + 1] its end.
+    start_.assign(static_cast<size_t>(max_term) + 2, 0);
+    for (const Document& d : docs) {
+      for (const DCell& c : d.cells()) ++start_[c.term + 1];
+    }
+    for (size_t t = 1; t < start_.size(); ++t) start_[t] += start_[t - 1];
+    cells_.resize(total);
+    for (size_t slot = 0; slot < docs.size(); ++slot) {
+      for (const DCell& c : docs[slot].cells()) {
+        cells_[start_[c.term]++] = Cell{static_cast<uint32_t>(slot), c.weight};
+      }
+    }
+    // Placing advanced each start_[t] to term t's end, which is term
+    // t + 1's start: shift the directory back by one.
+    std::copy_backward(start_.begin(), start_.end() - 1, start_.end());
+    start_[0] = 0;
+    acc_.assign(docs.size(), 0.0);
+    touched_.assign((docs.size() + 63) / 64, 0);
+    if (cpu != nullptr) cpu->cell_compares += static_cast<int64_t>(total);
   }
 
-  void ReportTightness(QueryStatsCollector* stats) const {
-    if (stats == nullptr || tightness_n == 0) return;
-    stats->SetCounter(
-        "bound_tightness_pct",
-        static_cast<int64_t>(std::lround(
-            100.0 * tightness_sum / static_cast<double>(tightness_n))));
-  }
-
-  // Batched PairUpperBound of one fixed document against the resident
-  // batch, through the dispatched kernel. `fixed_is_a` says which argument
-  // position the fixed document holds in PairUpperBound (the trailing
-  // inv-norm multiplies associate left), so the batched bounds are
-  // bit-identical to the per-pair calls they replace.
-  void BatchPairBounds(const DocBounds& fixed,
-                       const std::vector<DocBounds>& cands, bool fixed_is_a,
-                       kernel::DoubleBuffer* out) const {
-    static_assert(sizeof(DocBounds) == 4 * sizeof(double),
-                  "pair_bounds kernel assumes DocBounds is 4 packed doubles");
-    if (cands.empty()) return;
-    out->resize(cands.size());
-    kernel::Active().pair_bounds(
-        reinterpret_cast<const double*>(cands.data()),
-        static_cast<int64_t>(cands.size()), fixed.max_w, fixed.sum_w,
-        fixed.norm_w, fixed.inv_norm, fixed_is_a, out->data());
-  }
-
-  // The paper's pair evaluation: one full linear merge, offered to `heap`
-  // when the score is non-zero. `inner_doc` is the candidate identity (C1
-  // side) for tie-breaking.
-  void Evaluate(const Document& d1, const Document& d2, DocId inner_doc,
-                DocId outer_doc, TopKAccumulator* heap, CpuStats* cpu) {
-    double acc;
+  // Scores the streamed document `doc` against every resident document and
+  // calls emit(slot, sum) for each slot whose accumulated sum is above 0,
+  // in ascending slot order. Each of doc's cells counts as one compare.
+  template <typename Emit>
+  void Probe(const Document& doc, const SimilarityContext& sim, CpuStats* cpu,
+             Emit&& emit) {
+    int64_t adds = 0;
+    for (const DCell& c : doc.cells()) {
+      // Terms are ascending, so past the batch's largest term, stop.
+      if (c.term + size_t{1} >= start_.size()) break;
+      const uint32_t lo = start_[c.term];
+      const uint32_t hi = start_[c.term + 1];
+      if (lo == hi) continue;
+      const double w = static_cast<double>(c.weight);
+      const double factor = sim.TermFactor(c.term);
+      for (uint32_t k = lo; k < hi; ++k) {
+        const Cell& r = cells_[k];
+        acc_[r.slot] += w * static_cast<double>(r.weight) * factor;
+        touched_[r.slot / 64] |= uint64_t{1} << (r.slot % 64);
+      }
+      adds += hi - lo;
+    }
+    int64_t offers = 0;
+    for (size_t word = 0; word < touched_.size(); ++word) {
+      for (uint64_t bits = std::exchange(touched_[word], 0); bits != 0;
+           bits &= bits - 1) {
+        const size_t slot = word * 64 + std::countr_zero(bits);
+        const double sum = std::exchange(acc_[slot], 0.0);
+        if (sum <= 0) continue;
+        ++offers;
+        emit(slot, sum);
+      }
+    }
     if (cpu != nullptr) {
-      DotDetail d = WeightedDotKernel(d1, d2, sim, MergeKernel::kLinear);
-      cpu->cell_compares += d.merge_steps;
-      cpu->accumulations += d.common_terms;
-      acc = d.acc;
-    } else {
-      acc = WeightedDot(d1, d2, sim);
+      cpu->cell_compares += doc.num_terms();
+      cpu->accumulations += adds;
+      cpu->heap_offers += offers;
     }
-    Offer(acc, /*pair_ub=*/0, inner_doc, outer_doc, heap, cpu);
-  }
-
-  // Evaluate with the pruning layers: the batched bound `pair_ub` may skip
-  // the pair outright, and the adaptive, block-summary galloping merge may
-  // stop early once the pair provably cannot qualify.
-  void EvaluatePruned(const Document& d1, const Document& d2,
-                      const DocBounds& b1, const DocBounds& b2,
-                      const SuffixBounds& s1, const SuffixBounds& s2,
-                      const DocBlockIndex& k1, const DocBlockIndex& k2,
-                      double pair_ub, DocId inner_doc, DocId outer_doc,
-                      TopKAccumulator* heap, CpuStats* cpu) {
-    if (cpu != nullptr) ++cpu->bound_checks;
-    if (heap->CannotQualify(inner_doc, pair_ub * kBoundSlack)) {
-      if (cpu != nullptr) ++cpu->pairs_pruned;
-      return;
-    }
-    PrunedDotResult r = WeightedDotPruned(
-        d1, d2, sim, s1, s2, b1.inv_norm * b2.inv_norm, inner_doc, *heap,
-        MergeKernel::kAdaptive, &k1, &k2);
-    if (cpu != nullptr) {
-      cpu->cell_compares += r.detail.merge_steps;
-      cpu->accumulations += r.detail.common_terms;
-      cpu->bound_checks += r.bound_checks;
-      cpu->blocks_skipped += r.detail.blocks_skipped;
-    }
-    if (r.pruned) {
-      if (cpu != nullptr) ++cpu->early_exits;
-      return;
-    }
-    Offer(r.detail.acc, pair_ub, inner_doc, outer_doc, heap, cpu);
   }
 
  private:
-  void Offer(double acc, double pair_ub, DocId inner_doc, DocId outer_doc,
-             TopKAccumulator* heap, CpuStats* cpu) {
-    if (acc <= 0) return;
-    if (cpu != nullptr) ++cpu->heap_offers;
-    const double score = sim.Finalize(acc, inner_doc, outer_doc);
-    if (pair_ub > 0) {
-      tightness_sum += score / pair_ub;
-      ++tightness_n;
-    }
-    heap->Add(inner_doc, score);
-  }
+  struct Cell {
+    uint32_t slot;
+    Weight weight;
+  };
+  static_assert(sizeof(Cell) <= sizeof(DCell),
+                "an indexed cell must take no more memory than a d-cell");
+
+  std::vector<uint32_t> start_;   // dense term directory, max term + 2
+  std::vector<Cell> cells_;       // grouped by term, slot order within
+  std::vector<double> acc_;       // per-slot sums of the streamed document
+  std::vector<uint64_t> touched_; // bitmap of slots acc_ holds a sum for
 };
 
 }  // namespace
@@ -150,13 +136,13 @@ Result<JoinResult> HhnlJoin::RunForward(const JoinContext& ctx,
   }
   const std::vector<DocId> participating = ParticipatingOuterDocs(ctx, spec);
   const bool random_outer = !spec.outer_subset.empty();
+  const SimilarityContext& sim = *ctx.similarity;
   QueryStatsCollector* stats = ctx.stats;
   CpuStats* cpu = stats != nullptr ? stats->cpu() : nullptr;
   if (stats != nullptr) {
     stats->SetRootLabel("HHNL");
     stats->SetCounter("batch_size_X", X);
   }
-  PairPruner pruner(spec, *ctx.similarity);
 
   JoinResult result;
   result.reserve(participating.size());
@@ -165,18 +151,19 @@ Result<JoinResult> HhnlJoin::RunForward(const JoinContext& ctx,
   // scanner persists across batches so the outer collection is read once.
   auto outer_scan = ctx.outer->Scan();
 
+  BatchIndex index;
   size_t pos = 0;
   while (pos < participating.size()) {
     TEXTJOIN_RETURN_IF_ERROR(GovernorCheckpoint(ctx, "HHNL outer batch"));
     const size_t batch_size =
         std::min<size_t>(static_cast<size_t>(X), participating.size() - pos);
-    // Bring the next batch of outer documents into memory.
+    // Bring the next batch of outer documents into memory and index it.
     std::vector<DocId> batch_docs(participating.begin() + pos,
                                   participating.begin() + pos + batch_size);
-    std::vector<Document> batch;
-    batch.reserve(batch_size);
     {
       PhaseScope read_outer(stats, phase::kReadOuter);
+      std::vector<Document> batch;
+      batch.reserve(batch_size);
       for (DocId d : batch_docs) {
         if (random_outer) {
           TEXTJOIN_ASSIGN_OR_RETURN(Document doc, ctx.outer->ReadDocument(d));
@@ -187,64 +174,26 @@ Result<JoinResult> HhnlJoin::RunForward(const JoinContext& ctx,
           batch.push_back(std::move(doc));
         }
       }
+      index.Build(batch, cpu);
     }
     pos += batch_size;
     if (stats != nullptr) stats->AddCounter("outer_batches", 1);
-
-    // Bound profiles of the resident batch (outer side).
-    std::vector<DocBounds> batch_bounds;
-    std::vector<SuffixBounds> batch_suffix;
-    std::vector<DocBlockIndex> batch_blocks;
-    if (pruner.prune) {
-      batch_bounds.resize(batch_size);
-      batch_suffix.resize(batch_size);
-      batch_blocks.resize(batch_size);
-      for (size_t i = 0; i < batch_size; ++i) {
-        batch_bounds[i] = pruner.Bounds(*ctx.outer, batch_docs[i], batch[i],
-                                        ctx.similarity->outer_norms);
-        batch_suffix[i].Build(batch[i], *ctx.similarity);
-        batch_blocks[i].Build(batch[i]);
-      }
-    }
 
     std::vector<TopKAccumulator> heaps(batch_size,
                                        TopKAccumulator(spec.lambda));
     // Pass over the (participating) inner documents for this batch.
     PhaseScope scan_inner(stats, phase::kScanInner);
-    DocBounds b1;
-    SuffixBounds s1;
-    DocBlockIndex k1;
-    kernel::DoubleBuffer pair_ubs;  // batched bounds, one per resident doc
     TEXTJOIN_RETURN_IF_ERROR(ForEachInnerDoc(
         ctx, spec, [&](DocId inner_doc, const Document& d1) {
-          if (pruner.prune) {
-            b1 = pruner.Bounds(*ctx.inner, inner_doc, d1,
-                               ctx.similarity->inner_norms);
-            s1.Build(d1, *ctx.similarity);
-            k1.Build(d1);
-            // One kernel call bounds the inner document against the whole
-            // resident batch (the inner document is PairUpperBound's first
-            // argument here).
-            pruner.BatchPairBounds(b1, batch_bounds, /*fixed_is_a=*/true,
-                                   &pair_ubs);
-          }
-          for (size_t i = 0; i < batch_size; ++i) {
-            if (pruner.prune) {
-              pruner.EvaluatePruned(d1, batch[i], b1, batch_bounds[i], s1,
-                                    batch_suffix[i], k1, batch_blocks[i],
-                                    pair_ubs[i], inner_doc, batch_docs[i],
-                                    &heaps[i], cpu);
-            } else {
-              pruner.Evaluate(d1, batch[i], inner_doc, batch_docs[i],
-                              &heaps[i], cpu);
-            }
-          }
+          index.Probe(d1, sim, cpu, [&](size_t slot, double sum) {
+            heaps[slot].Add(inner_doc,
+                            sim.Finalize(sum, inner_doc, batch_docs[slot]));
+          });
         }));
     for (size_t i = 0; i < batch_size; ++i) {
       result.push_back(OuterMatches{batch_docs[i], heaps[i].TakeSorted()});
     }
   }
-  pruner.ReportTightness(stats);
   return result;
 }
 
@@ -268,13 +217,13 @@ Result<JoinResult> HhnlJoin::RunBackward(const JoinContext& ctx,
         "HHNL backward: buffer cannot hold intermediate heaps plus one "
         "document of each collection");
   }
+  const SimilarityContext& sim = *ctx.similarity;
   QueryStatsCollector* stats = ctx.stats;
   CpuStats* cpu = stats != nullptr ? stats->cpu() : nullptr;
   if (stats != nullptr) {
     stats->SetRootLabel("HHNL backward");
     stats->SetCounter("batch_size_X", X);
   }
-  PairPruner pruner(spec, *ctx.similarity);
 
   // One heap per participating outer document, alive for the whole run.
   std::vector<TopKAccumulator> heaps(participating.size(),
@@ -282,13 +231,14 @@ Result<JoinResult> HhnlJoin::RunBackward(const JoinContext& ctx,
 
   const std::vector<char> inner_member = InnerMembership(ctx, spec);
   auto inner_scan = ctx.inner->Scan();
+  BatchIndex index;
   while (!inner_scan.Done()) {
     TEXTJOIN_RETURN_IF_ERROR(GovernorCheckpoint(ctx, "HHNL inner batch"));
-    // Load the next batch of (participating) inner documents.
+    // Load and index the next batch of (participating) inner documents.
     std::vector<DocId> batch_docs;
-    std::vector<Document> batch;
     {
       PhaseScope read_inner(stats, phase::kReadInnerBatch);
+      std::vector<Document> batch;
       while (!inner_scan.Done() &&
              static_cast<int64_t>(batch.size()) < X) {
         DocId doc = inner_scan.next_doc();
@@ -297,33 +247,14 @@ Result<JoinResult> HhnlJoin::RunBackward(const JoinContext& ctx,
         batch_docs.push_back(doc);
         batch.push_back(std::move(d));
       }
+      index.Build(batch, cpu);
     }
-    if (batch.empty()) continue;
+    if (batch_docs.empty()) continue;
     if (stats != nullptr) stats->AddCounter("inner_batches", 1);
-
-    // Bound profiles of the resident batch (inner side).
-    std::vector<DocBounds> batch_bounds;
-    std::vector<SuffixBounds> batch_suffix;
-    std::vector<DocBlockIndex> batch_blocks;
-    if (pruner.prune) {
-      batch_bounds.resize(batch.size());
-      batch_suffix.resize(batch.size());
-      batch_blocks.resize(batch.size());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        batch_bounds[i] = pruner.Bounds(*ctx.inner, batch_docs[i], batch[i],
-                                        ctx.similarity->inner_norms);
-        batch_suffix[i].Build(batch[i], *ctx.similarity);
-        batch_blocks[i].Build(batch[i]);
-      }
-    }
 
     // Pass over the outer documents.
     PhaseScope rescan(stats, phase::kRescanOuter);
     auto outer_scan = ctx.outer->Scan();
-    DocBounds b2;
-    SuffixBounds s2;
-    DocBlockIndex k2;
-    kernel::DoubleBuffer pair_ubs;  // batched bounds, one per resident doc
     for (size_t oi = 0; oi < participating.size(); ++oi) {
       DocId outer_doc = participating[oi];
       Document d2;
@@ -333,28 +264,10 @@ Result<JoinResult> HhnlJoin::RunBackward(const JoinContext& ctx,
         TEXTJOIN_CHECK_EQ(outer_scan.next_doc(), outer_doc);
         TEXTJOIN_ASSIGN_OR_RETURN(d2, outer_scan.Next());
       }
-      if (pruner.prune) {
-        b2 = pruner.Bounds(*ctx.outer, outer_doc, d2,
-                           ctx.similarity->outer_norms);
-        s2.Build(d2, *ctx.similarity);
-        k2.Build(d2);
-        // One kernel call bounds the outer document against the resident
-        // inner batch (the outer document is PairUpperBound's second
-        // argument here, hence fixed_is_a = false).
-        pruner.BatchPairBounds(b2, batch_bounds, /*fixed_is_a=*/false,
-                               &pair_ubs);
-      }
-      for (size_t i = 0; i < batch.size(); ++i) {
-        if (pruner.prune) {
-          pruner.EvaluatePruned(batch[i], d2, batch_bounds[i], b2,
-                                batch_suffix[i], s2, batch_blocks[i], k2,
-                                pair_ubs[i], batch_docs[i], outer_doc,
-                                &heaps[oi], cpu);
-        } else {
-          pruner.Evaluate(batch[i], d2, batch_docs[i], outer_doc, &heaps[oi],
-                          cpu);
-        }
-      }
+      index.Probe(d2, sim, cpu, [&](size_t slot, double sum) {
+        const DocId inner_doc = batch_docs[slot];
+        heaps[oi].Add(inner_doc, sim.Finalize(sum, inner_doc, outer_doc));
+      });
     }
   }
 
@@ -363,7 +276,6 @@ Result<JoinResult> HhnlJoin::RunBackward(const JoinContext& ctx,
   for (size_t oi = 0; oi < participating.size(); ++oi) {
     result.push_back(OuterMatches{participating[oi], heaps[oi].TakeSorted()});
   }
-  pruner.ReportTightness(stats);
   return result;
 }
 

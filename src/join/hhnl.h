@@ -13,13 +13,24 @@ namespace textjoin {
 // every batched outer document, updating per-outer-document top-lambda
 // heaps.
 //
+// The paper fixes only what stays resident and how often C1 is scanned;
+// the in-memory comparison here is term-at-a-time. Each batch is indexed
+// by term: every resident d-cell is held once, as a (uint32 slot, uint16
+// weight) cell of 8 bytes — no more than the 8-byte DCell it replaces, and
+// the batch's Document copies are dropped once indexed — plus a dense
+// term directory of 4 bytes x (largest term id in the batch + 2). Each
+// streamed document looks each of its terms up once and adds the products
+// into a dense per-slot accumulator (8 bytes per slot), summing every
+// pair's products in WeightedDot's order, so scores are bit-identical to a
+// per-pair merge and page reads are the paper's.
+//
 // The backward order the paper mentions (process C1 as the outer loop;
 // cheaper when C1 is much smaller than C2) is available as an option: it
 // keeps a top-lambda heap for *every* participating C2 document for the
 // whole run (the "many intermediate results" the paper notes), batching
 //   X' = floor((B - ceil(S2) - 4*lambda*N2'/P) / S1)
-// inner documents at a time and scanning C2 once per batch. Both orders
-// produce identical results.
+// inner documents at a time (indexed the same way) and scanning C2 once
+// per batch. Both orders produce identical results.
 class HhnlJoin : public TextJoinAlgorithm {
  public:
   struct Options {

@@ -124,81 +124,6 @@ struct SimilarityContext {
 double WeightedDot(const Document& d1, const Document& d2,
                    const SimilarityContext& ctx);
 
-// WeightedDot plus the CPU-work detail the counted executors report: how
-// many merge steps the walk took and how many terms the documents share.
-// `blocks_skipped` counts d-cell blocks a blocked gallop jumped over
-// without probing any cell inside them (0 for the non-blocked kernels).
-struct DotDetail {
-  double acc = 0;
-  int64_t merge_steps = 0;
-  int64_t common_terms = 0;
-  int64_t blocks_skipped = 0;
-};
-DotDetail WeightedDotDetailed(const Document& d1, const Document& d2,
-                              const SimilarityContext& ctx);
-
-// Which intersection kernel WeightedDotKernel runs.
-//
-// All kernels visit the common terms in the same ascending order and
-// evaluate each contribution with the same expression, so their
-// accumulated sums are bit-identical — they differ only in how many merge
-// steps they spend finding the common terms (metered in
-// DotDetail::merge_steps: one per cell visited or search probe made).
-enum class MergeKernel {
-  kLinear,     // the paper's two-pointer walk, O(|d1| + |d2|)
-  kGalloping,  // exponential + binary search from the shorter document,
-               // O(short * log(long)) — wins when lengths are skewed
-  kAdaptive,   // kGalloping when the length ratio reaches
-               // kGallopSizeRatio, else kLinear
-};
-
-// Length ratio at which the adaptive kernel switches to galloping: at 16x
-// the expected probe count short*(2*log2(ratio)+2) drops below the linear
-// walk's short+long steps.
-inline constexpr int64_t kGallopSizeRatio = 16;
-
-// Last term of each fixed-size cell block of a document — the d-cell
-// mirror of the inverted file's per-block summaries (block size
-// kPostingBlockCells). One probe of this array answers "is the target
-// past this whole block?", so a blocked gallop jumps block-sized strides
-// instead of galloping cell by cell. Built unmetered at setup, like
-// SuffixBounds.
-class DocBlockIndex {
- public:
-  void Build(const Document& doc);
-
-  bool empty() const { return last_.empty(); }
-  const std::vector<TermId>& last_terms() const { return last_; }
-
- private:
-  std::vector<TermId> last_;
-};
-
-// The block indexes are optional (null = plain galloping); when present
-// they must index the corresponding document's cells.
-DotDetail WeightedDotKernel(const Document& d1, const Document& d2,
-                            const SimilarityContext& ctx, MergeKernel kernel,
-                            const DocBlockIndex* blocks1 = nullptr,
-                            const DocBlockIndex* blocks2 = nullptr);
-
-// Building block of the galloping kernel, shared with the threshold-aware
-// merge in join/pruning.h: first index >= lo whose term is >= t, found by
-// exponential probing then binary search. Every probe is metered as one
-// merge step into *steps.
-size_t GallopLowerBound(const std::vector<DCell>& cells, size_t lo, TermId t,
-                        int64_t* steps);
-
-// GallopLowerBound with block-boundary probing: identical result, fewer
-// probes when the target lies whole blocks ahead (one summary probe rules
-// out kPostingBlockCells cells at once). `blocks` must index `cells`.
-// Probes — of summaries and of cells — are metered into *steps exactly
-// like GallopLowerBound's; blocks jumped over without any cell probe are
-// counted into *blocks_skipped (may be null).
-size_t GallopLowerBoundBlocked(const std::vector<DCell>& cells,
-                               const DocBlockIndex& blocks, size_t lo,
-                               TermId t, int64_t* steps,
-                               int64_t* blocks_skipped);
-
 }  // namespace textjoin
 
 #endif  // TEXTJOIN_JOIN_SIMILARITY_H_

@@ -38,28 +38,6 @@ class TopKAccumulator {
   int64_t size() const { return static_cast<int64_t>(heap_.size()); }
   int64_t k() const { return k_; }
 
-  // True when the heap holds k matches, so Add only keeps candidates that
-  // beat worst_score().
-  bool full() const { return static_cast<int64_t>(heap_.size()) >= k_; }
-
-  // The current lambda-th best score — the pruning threshold theta. 0
-  // until the heap is full (any positive score may still enter).
-  double worst_score() const {
-    return k_ > 0 && full() ? heap_.front().score : 0.0;
-  }
-
-  // Safe pruning predicate (join/pruning.h): true when a candidate with
-  // this document number and true score <= upper_bound provably cannot
-  // enter the heap. Uses the same BetterMatch comparison as Add, so
-  // tie-breaking at the heap boundary is preserved exactly: a candidate
-  // whose upper bound only TIES the worst kept match is pruned iff Add
-  // would reject a score equal to that bound.
-  bool CannotQualify(DocId doc, double upper_bound) const {
-    if (upper_bound <= 0 || k_ == 0) return true;
-    if (static_cast<int64_t>(heap_.size()) < k_) return false;
-    return !BetterMatch(Match{doc, upper_bound}, heap_.front());
-  }
-
   // The kept matches, best first. Leaves the accumulator empty (capacity
   // retained, so a reused accumulator does not reallocate per query).
   std::vector<Match> TakeSorted();

@@ -49,7 +49,7 @@ class AlignedAllocator {
 // Decoded posting cells, 32-byte aligned for the AVX2 4-cell loads.
 using ICellBuffer = std::vector<ICell, AlignedAllocator<ICell, 32>>;
 
-// Scoring scratch (per-cell contributions, batched pair bounds).
+// Scoring scratch (per-cell contributions).
 using DoubleBuffer = std::vector<double, AlignedAllocator<double, 32>>;
 
 }  // namespace kernel

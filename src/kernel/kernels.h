@@ -53,30 +53,15 @@ struct KernelTable {
   void (*scale_cells)(const ICell* cells, int64_t n, double w2, double factor,
                       double* out);
 
-  // Batched HHNL pair bound (join/pruning.h PairUpperBound) of one fixed
-  // document against a contiguous DocBounds-layout array `cands` of n
-  // candidates (max_w, sum_w, norm_w, inv_norm as 4 consecutive doubles
-  // each, all nonnegative and finite):
-  //   m3     = min(min(fixed.max*c.sum, fixed.sum*c.max), fixed.norm*c.norm)
-  //   out[k] = fixed_is_a ? (m3 * fixed.inv) * c.inv
-  //                       : (m3 * c.inv) * fixed.inv
-  // `fixed_is_a` says which argument position the fixed document holds in
-  // PairUpperBound — the trailing inv-norm multiplies associate left, so
-  // the order matters for bit-identity. min/mul are IEEE-exact on this
-  // domain, so every variant is bit-identical.
-  void (*pair_bounds)(const double* cands, int64_t n, double fixed_max,
-                      double fixed_sum, double fixed_norm, double fixed_inv,
-                      bool fixed_is_a, double* out);
-
   // Advances the linear term merge of WeightedDot by at most `max_steps`
   // logical steps (one step = one iteration of the scalar two-pointer
   // walk), appending matched index pairs in ascending term order. Returns
   // the steps actually taken; `cur` is updated in place. Every level
   // shares the portable walk — vectorizing it lost to the predictable
   // scalar loop in measurement (see MergeLinearPortable in
-  // kernels_common.h) — so merge-step metering (and the early-exit
-  // cadence built on it) is trivially identical at every level. `match_a`
-  // / `match_b` must have room for `max_steps` entries (matches <= steps).
+  // kernels_common.h) — so merge-step metering is trivially identical at
+  // every level. `match_a` / `match_b` must have room for `max_steps`
+  // entries (matches <= steps).
   int64_t (*merge_linear)(const DCell* a, int64_t na, const DCell* b,
                           int64_t nb, MergeCursor* cur, int64_t max_steps,
                           int32_t* match_a, int32_t* match_b,

@@ -124,50 +124,13 @@ void ScaleCellsAvx2(const ICell* cells, int64_t n, double w2, double factor,
   internal::ScaleCellsScalarImpl(cells + k, n - k, w2, factor, out + k);
 }
 
-void PairBoundsAvx2(const double* cands, int64_t n, double fixed_max,
-                    double fixed_sum, double fixed_norm, double fixed_inv,
-                    bool fixed_is_a, double* out) {
-  const __m256d fm = _mm256_set1_pd(fixed_max);
-  const __m256d fs = _mm256_set1_pd(fixed_sum);
-  const __m256d fn = _mm256_set1_pd(fixed_norm);
-  const __m256d fi = _mm256_set1_pd(fixed_inv);
-  int64_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const double* c = cands + 4 * k;
-    // 4x4 transpose of the DocBounds rows into field vectors.
-    const __m256d r0 = _mm256_loadu_pd(c);
-    const __m256d r1 = _mm256_loadu_pd(c + 4);
-    const __m256d r2 = _mm256_loadu_pd(c + 8);
-    const __m256d r3 = _mm256_loadu_pd(c + 12);
-    const __m256d t0 = _mm256_unpacklo_pd(r0, r1);  // max0 max1 norm0 norm1
-    const __m256d t1 = _mm256_unpackhi_pd(r0, r1);  // sum0 sum1 inv0 inv1
-    const __m256d t2 = _mm256_unpacklo_pd(r2, r3);
-    const __m256d t3 = _mm256_unpackhi_pd(r2, r3);
-    const __m256d maxs = _mm256_permute2f128_pd(t0, t2, 0x20);
-    const __m256d norms = _mm256_permute2f128_pd(t0, t2, 0x31);
-    const __m256d sums = _mm256_permute2f128_pd(t1, t3, 0x20);
-    const __m256d invs = _mm256_permute2f128_pd(t1, t3, 0x31);
-    const __m256d h1 = _mm256_mul_pd(fm, sums);
-    const __m256d h2 = _mm256_mul_pd(fs, maxs);
-    const __m256d cs = _mm256_mul_pd(fn, norms);
-    const __m256d m3 = _mm256_min_pd(_mm256_min_pd(h1, h2), cs);
-    const __m256d r = fixed_is_a
-                          ? _mm256_mul_pd(_mm256_mul_pd(m3, fi), invs)
-                          : _mm256_mul_pd(_mm256_mul_pd(m3, invs), fi);
-    _mm256_storeu_pd(out + k, r);
-  }
-  internal::PairBoundsScalarImpl(cands + 4 * k, n - k, fixed_max, fixed_sum,
-                                 fixed_norm, fixed_inv, fixed_is_a, out + k);
-}
-
 }  // namespace
 
 // The merge stays the shared portable walk at this level too — see the
 // MergeLinearPortable comment in kernels_common.h for the measurements
 // behind that decision.
 const KernelTable kAvx2Table = {
-    "avx2", GvDecodeAvx2, ScaleCellsAvx2, PairBoundsAvx2,
-    internal::MergeLinearPortable,
+    "avx2", GvDecodeAvx2, ScaleCellsAvx2, internal::MergeLinearPortable,
 };
 
 }  // namespace kernel

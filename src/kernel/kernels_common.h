@@ -110,22 +110,6 @@ inline void ScaleCellsScalarImpl(const ICell* cells, int64_t n, double w2,
   }
 }
 
-// Candidate layout: 4 doubles per entry — max_w, sum_w, norm_w, inv_norm
-// (join/pruning.h DocBounds; the call site static_asserts the layout).
-inline void PairBoundsScalarImpl(const double* cands, int64_t n,
-                                 double fixed_max, double fixed_sum,
-                                 double fixed_norm, double fixed_inv,
-                                 bool fixed_is_a, double* out) {
-  for (int64_t k = 0; k < n; ++k) {
-    const double* c = cands + 4 * k;
-    const double h1 = fixed_max * c[1];
-    const double h2 = fixed_sum * c[0];
-    const double cs = fixed_norm * c[2];
-    const double m3 = std::min(std::min(h1, h2), cs);
-    out[k] = fixed_is_a ? (m3 * fixed_inv) * c[3] : (m3 * c[3]) * fixed_inv;
-  }
-}
-
 // The paper's two-pointer walk with a step budget: one logical step per
 // loop iteration, matches appended as index pairs in ascending term order.
 inline int64_t MergeLinearScalarImpl(const DCell* a, int64_t na,
@@ -163,9 +147,7 @@ inline int64_t MergeLinearScalarImpl(const DCell* a, int64_t na,
 // extraction the two-pointer walk is branch-predictable and load-light,
 // and measured register-compare run skipping (4- and 8-lane leading-less
 // probes, even momentum-gated to fire only on detected runs) lost to it
-// on every workload shape — interleaved and run-heavy alike. Skew is the
-// galloping kernel's job (join/similarity.h), an algorithmic answer a
-// wider register cannot beat.
+// on every workload shape — interleaved and run-heavy alike.
 int64_t MergeLinearPortable(const DCell* a, int64_t na, const DCell* b,
                             int64_t nb, MergeCursor* cur, int64_t max_steps,
                             int32_t* match_a, int32_t* match_b,

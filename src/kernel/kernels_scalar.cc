@@ -21,13 +21,6 @@ void ScaleCellsScalar(const ICell* cells, int64_t n, double w2, double factor,
   internal::ScaleCellsScalarImpl(cells, n, w2, factor, out);
 }
 
-void PairBoundsScalar(const double* cands, int64_t n, double fixed_max,
-                      double fixed_sum, double fixed_norm, double fixed_inv,
-                      bool fixed_is_a, double* out) {
-  internal::PairBoundsScalarImpl(cands, n, fixed_max, fixed_sum, fixed_norm,
-                                 fixed_inv, fixed_is_a, out);
-}
-
 }  // namespace
 
 namespace internal {
@@ -43,8 +36,7 @@ int64_t MergeLinearPortable(const DCell* a, int64_t na, const DCell* b,
 }  // namespace internal
 
 const KernelTable kScalarTable = {
-    "scalar", GvDecodeScalar, ScaleCellsScalar, PairBoundsScalar,
-    internal::MergeLinearPortable,
+    "scalar", GvDecodeScalar, ScaleCellsScalar, internal::MergeLinearPortable,
 };
 
 }  // namespace kernel

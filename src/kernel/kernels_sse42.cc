@@ -107,45 +107,13 @@ void ScaleCellsSse42(const ICell* cells, int64_t n, double w2, double factor,
   internal::ScaleCellsScalarImpl(cells + k, n - k, w2, factor, out + k);
 }
 
-void PairBoundsSse42(const double* cands, int64_t n, double fixed_max,
-                     double fixed_sum, double fixed_norm, double fixed_inv,
-                     bool fixed_is_a, double* out) {
-  const __m128d fm = _mm_set1_pd(fixed_max);
-  const __m128d fs = _mm_set1_pd(fixed_sum);
-  const __m128d fn = _mm_set1_pd(fixed_norm);
-  const __m128d fi = _mm_set1_pd(fixed_inv);
-  int64_t k = 0;
-  for (; k + 2 <= n; k += 2) {
-    const double* c = cands + 4 * k;
-    const __m128d a01 = _mm_loadu_pd(c);      // max0 sum0
-    const __m128d a23 = _mm_loadu_pd(c + 2);  // norm0 inv0
-    const __m128d b01 = _mm_loadu_pd(c + 4);
-    const __m128d b23 = _mm_loadu_pd(c + 6);
-    const __m128d maxs = _mm_unpacklo_pd(a01, b01);
-    const __m128d sums = _mm_unpackhi_pd(a01, b01);
-    const __m128d norms = _mm_unpacklo_pd(a23, b23);
-    const __m128d invs = _mm_unpackhi_pd(a23, b23);
-    const __m128d h1 = _mm_mul_pd(fm, sums);
-    const __m128d h2 = _mm_mul_pd(fs, maxs);
-    const __m128d cs = _mm_mul_pd(fn, norms);
-    // minpd matches std::min on this domain (nonnegative, finite, no -0).
-    const __m128d m3 = _mm_min_pd(_mm_min_pd(h1, h2), cs);
-    const __m128d r = fixed_is_a ? _mm_mul_pd(_mm_mul_pd(m3, fi), invs)
-                                 : _mm_mul_pd(_mm_mul_pd(m3, invs), fi);
-    _mm_storeu_pd(out + k, r);
-  }
-  internal::PairBoundsScalarImpl(cands + 4 * k, n - k, fixed_max, fixed_sum,
-                                 fixed_norm, fixed_inv, fixed_is_a, out + k);
-}
-
 }  // namespace
 
 // The merge stays the shared portable walk at this level too — see the
 // MergeLinearPortable comment in kernels_common.h for the measurements
 // behind that decision.
 const KernelTable kSse42Table = {
-    "sse42", GvDecodeSse42, ScaleCellsSse42, PairBoundsSse42,
-    internal::MergeLinearPortable,
+    "sse42", GvDecodeSse42, ScaleCellsSse42, internal::MergeLinearPortable,
 };
 
 }  // namespace kernel

@@ -40,6 +40,20 @@ std::string RelError(double measured, double predicted) {
   return buf;
 }
 
+// The CPU model's estimate for the executed algorithm (HHNL's is the
+// forward order's, whichever order ran).
+CpuEstimate PredictedCpu(const ExplainPlan& plan) {
+  switch (plan.algorithm) {
+    case Algorithm::kHhnl:
+      return HhnlCpuCost(plan.inputs);
+    case Algorithm::kHvnl:
+      return HvnlCpuCost(plan.inputs);
+    case Algorithm::kVvm:
+      return VvmCpuCost(plan.inputs);
+  }
+  return {};
+}
+
 struct Row {
   std::string label;
   bool has_pred = false;
@@ -254,38 +268,17 @@ std::string RenderExplainAnalyze(const ExplainPlan& plan,
                   kernel::Active().name, est_ns * 1e-6);
     out += buf;
   }
-  if (stats.root.cpu.any_pruning()) {
-    const CpuStats& c = stats.root.cpu;
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "pruning: bound_checks=%lld pairs_pruned=%lld "
-                  "early_exits=%lld blocks_skipped=%lld\n",
-                  static_cast<long long>(c.bound_checks),
-                  static_cast<long long>(c.pairs_pruned),
-                  static_cast<long long>(c.early_exits),
-                  static_cast<long long>(c.blocks_skipped));
-    out += buf;
+  if (stats.root.cpu.blocks_skipped != 0) {
+    out += "pruning: blocks_skipped=" +
+           std::to_string(stats.root.cpu.blocks_skipped) + "\n";
   }
-  if (plan.inputs.pruning_rate > 0) {
-    CpuEstimate est;
-    switch (plan.algorithm) {
-      case Algorithm::kHhnl:
-        est = HhnlCpuCost(plan.inputs);
-        break;
-      case Algorithm::kHvnl:
-        est = HvnlCpuCost(plan.inputs);
-        break;
-      case Algorithm::kVvm:
-        est = VvmCpuCost(plan.inputs);
-        break;
-    }
-    char buf[200];
+  {
+    const double predicted = PredictedCpu(plan).Total();
+    const double measured = stats.root.cpu.Total();
+    char buf[160];
     std::snprintf(buf, sizeof(buf),
-                  "predicted cpu: total=%.0f  measured=%.0f  err vs pred:%s  "
-                  "(pruning rate %.0f%%, pairs_pruned~%.0f)\n",
-                  est.Total(), stats.root.cpu.Total(),
-                  RelError(stats.root.cpu.Total(), est.Total()).c_str(),
-                  plan.inputs.pruning_rate * 100.0, est.pairs_pruned);
+                  "predicted cpu: total=%.0f  measured=%.0f  err vs pred:%s\n",
+                  predicted, measured, RelError(measured, predicted).c_str());
     out += buf;
   }
   if (stats.has_buffer_pool()) {

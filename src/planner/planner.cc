@@ -3,7 +3,6 @@
 #include <limits>
 #include <sstream>
 
-#include "cost/cpu_model.h"
 #include "cost/statistics.h"
 #include "join/hhnl.h"
 #include "join/hvnl.h"
@@ -39,10 +38,9 @@ Result<PlanChoice> JoinPlanner::Plan(const JoinContext& ctx,
     in.participating_outer = static_cast<int64_t>(spec.outer_subset.size());
     in.outer_reads_random = true;
   }
-  // CPU-model pruning knobs: the predicted CPU cost discounts the work the
-  // executor's pruning layers are expected to skip.
+  // CPU-model knob: the predicted CPU cost of VVM discounts the blocks its
+  // pass-slice skip leaves undecoded.
   in.prune = spec.prune;
-  if (spec.prune) in.pruning_rate = ExpectedPruningRate(in);
 
   PlanChoice choice;
   choice.inputs = in;

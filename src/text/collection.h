@@ -86,9 +86,8 @@ class DocumentCollection {
 
   // Precomputed per-document weight aggregates over the raw occurrence
   // vector: the largest single term weight and the sum of all term
-  // weights. Catalog metadata for the exact top-lambda pruning layer
-  // (join/pruning.h) — together with raw_norm they bound any raw dot
-  // product involving the document without touching its cells.
+  // weights. No join reads them; they stay in the catalog format until
+  // its next change drops them.
   int64_t max_weight(DocId doc) const;
   int64_t weight_sum(DocId doc) const;
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 
 #include "storage/disk_manager.h"
 #include "cost/cpu_model.h"
@@ -45,7 +48,9 @@ TEST(CpuStatsTest, ArithmeticAndToString) {
 }
 
 // The key structural property: all three algorithms perform EXACTLY the
-// same number of similarity accumulations — one per (pair, common term).
+// same number of similarity accumulations — one per (pair, common term) —
+// and offer EXACTLY the same candidates — one per pair with a non-zero
+// score — whether JoinSpec::prune is on or off and in either HHNL order.
 // With an inner subset only the eligible inner documents' pairs count.
 TEST(CpuCountingTest, AccumulationsIdenticalAcrossAlgorithms) {
   SimulatedDisk disk(256);
@@ -55,6 +60,15 @@ TEST(CpuCountingTest, AccumulationsIdenticalAcrossAlgorithms) {
   for (DocId d = 0; d < f->inner.num_documents(); d += 2) {
     every_other.push_back(d);
   }
+  HhnlJoin hhnl;
+  HhnlJoin hhnl_backward(HhnlJoin::Options{/*backward=*/true});
+  HvnlJoin hvnl;
+  VvmJoin vvm;
+  const std::pair<const char*, TextJoinAlgorithm*> algorithms[] = {
+      {"HHNL", &hhnl},
+      {"HHNL backward", &hhnl_backward},
+      {"HVNL", &hvnl},
+      {"VVM", &vvm}};
 
   for (const bool subset : {false, true}) {
     JoinSpec spec;
@@ -72,50 +86,73 @@ TEST(CpuCountingTest, AccumulationsIdenticalAcrossAlgorithms) {
       }
     }
 
-    // The invariant holds for the exhaustive accumulation: HHNL's pruning
-    // skips provably-losing work, which is tested in pruning_test. HVNL
-    // and VVM never skip an accumulation, so they run with pruning on too.
-    for (int pass = 0; pass < 5; ++pass) {
-      spec.prune = pass >= 3;
-      QueryStatsCollector collector(&disk);
-      JoinContext ctx = f->Context(100);
-      ctx.stats = &collector;
-      Result<JoinResult> r(Status::OK());
-      if (pass == 0) {
-        HhnlJoin join;
-        r = join.Run(ctx, spec);
-      } else if (pass == 1 || pass == 3) {
-        HvnlJoin join;
-        r = join.Run(ctx, spec);
-      } else {
-        VvmJoin join;
-        r = join.Run(ctx, spec);
+    int64_t heap_offers = -1;
+    for (const bool prune : {false, true}) {
+      spec.prune = prune;
+      for (const auto& [name, algorithm] : algorithms) {
+        QueryStatsCollector collector(&disk);
+        JoinContext ctx = f->Context(100);
+        ctx.stats = &collector;
+        ASSERT_TRUE(algorithm->Run(ctx, spec).ok());
+        const CpuStats cpu = collector.Finish().root.cpu;
+        const std::string run = std::string(name) +
+                                (prune ? " pruned" : "") +
+                                (subset ? " (inner subset)" : "");
+        EXPECT_EQ(cpu.accumulations, expected) << run;
+        if (heap_offers < 0) heap_offers = cpu.heap_offers;
+        EXPECT_EQ(cpu.heap_offers, heap_offers) << run;
       }
-      ASSERT_TRUE(r.ok());
-      const CpuStats cpu = collector.Finish().root.cpu;
-      EXPECT_EQ(cpu.accumulations, expected)
-          << "pass " << pass << (subset ? " (inner subset)" : "");
     }
+    EXPECT_GT(heap_offers, 0);
   }
 }
 
-TEST(CpuCountingTest, HhnlComparesBoundedByCellSums) {
+// HHNL's term-at-a-time scoring visits every resident cell once, when its
+// batch is indexed, and every streamed cell once per batch it probes:
+//   forward:  cell_compares = sum(outer cells) + outer_batches * sum(inner)
+//   backward: cell_compares = sum(inner cells) + inner_batches * sum(outer)
+// (participating documents only). The buffer forces several batches.
+TEST(CpuCountingTest, HhnlIndexesAndProbesEachCellOncePerBatch) {
   SimulatedDisk disk(256);
   auto f = MakeFixture(&disk, RandomCollection(&disk, "c1", 30, 6, 50, 73),
                        RandomCollection(&disk, "c2", 20, 5, 50, 74));
-  JoinSpec spec;
-  spec.lambda = 3;
-  spec.prune = false;  // the bound needs full merges
-  QueryStatsCollector collector(&disk);
-  JoinContext ctx = f->Context(100);
-  ctx.stats = &collector;
-  HhnlJoin join;
-  ASSERT_TRUE(join.Run(ctx, spec).ok());
-  const CpuStats cpu = collector.Finish().root.cpu;
-  // Each pair walks at most K1 + K2 cells and at least max(K1, K2).
-  int64_t pairs = f->inner.num_documents() * f->outer.num_documents();
-  EXPECT_LE(cpu.cell_compares, pairs * (6 + 5));
-  EXPECT_GE(cpu.cell_compares, pairs * 6);
+  std::vector<DocId> every_other;
+  for (DocId d = 0; d < f->inner.num_documents(); d += 2) {
+    every_other.push_back(d);
+  }
+  auto cells = [](const DocumentCollection& c, const std::vector<DocId>& only) {
+    int64_t n = 0;
+    for (DocId d = 0; d < c.num_documents(); ++d) {
+      if (only.empty() || std::binary_search(only.begin(), only.end(), d)) {
+        n += c.directory_entry(d).term_count;
+      }
+    }
+    return n;
+  };
+  const int64_t outer_cells = cells(f->outer, {});
+
+  for (const bool subset : {false, true}) {
+    for (const bool backward : {false, true}) {
+      JoinSpec spec;
+      spec.lambda = 3;
+      if (subset) spec.inner_subset = every_other;
+      const int64_t inner_cells = cells(f->inner, spec.inner_subset);
+      QueryStatsCollector collector(&disk);
+      JoinContext ctx = f->Context(3);
+      ctx.stats = &collector;
+      HhnlJoin join(HhnlJoin::Options{backward});
+      ASSERT_TRUE(join.Run(ctx, spec).ok());
+      const PhaseStats root = collector.Finish().root;
+      const int64_t batches =
+          root.Counter(backward ? "inner_batches" : "outer_batches");
+      EXPECT_GE(batches, 2);
+      EXPECT_EQ(root.cpu.cell_compares,
+                backward ? inner_cells + batches * outer_cells
+                         : outer_cells + batches * inner_cells)
+          << (backward ? "backward" : "forward")
+          << (subset ? " (inner subset)" : "");
+    }
+  }
 }
 
 TEST(CpuCountingTest, VvmDecodesBothFilesPerPass) {
@@ -165,7 +202,6 @@ TEST(CpuModelTest, EstimatesTrackMeasurements) {
                        RandomCollection(&disk, "c2", 60, 6, 120, 80));
   JoinSpec spec;
   spec.lambda = 5;
-  spec.prune = false;  // unpruned estimates below
   CostInputs in = InputsFor(*f, 100, spec);
 
   auto check = [](double measured, double estimated, double band,
@@ -224,43 +260,6 @@ TEST(CpuModelTest, CombinedCostAddsWeightedCpu) {
   io.feasible = false;
   io.seq = std::numeric_limits<double>::infinity();
   EXPECT_TRUE(std::isinf(CombinedCost(io, cpu, 100.0)));
-}
-
-TEST(CpuModelTest, ExpectedPruningRateProperties) {
-  CostInputs in;
-  in.c1 = {1000, 50, 5000};
-  in.c2 = {800, 40, 4000};
-  in.query = {20, 0.1};
-  const double rate = ExpectedPruningRate(in);
-  EXPECT_GT(rate, 0.0);
-  EXPECT_LE(rate, 0.9);
-  // More kept matches -> less prunable work.
-  in.query.lambda = 80;
-  EXPECT_LT(ExpectedPruningRate(in), rate);
-  // lambda >= all candidates -> nothing to prune.
-  in.query.lambda = 1000;
-  in.query.delta = 1.0;
-  EXPECT_DOUBLE_EQ(ExpectedPruningRate(in), 0.0);
-}
-
-TEST(CpuModelTest, PruningDiscountsEstimatedWork) {
-  CostInputs in;
-  in.c1 = {1000, 50, 5000};
-  in.c2 = {800, 40, 4000};
-  in.sys = {10000, 4096, 5.0};
-  in.query = {20, 0.1};
-  in.q = 0.8;
-  const CpuEstimate base = HhnlCpuCost(in);
-  in.pruning_rate = ExpectedPruningRate(in);
-  in.prune = true;
-  const CpuEstimate pruned = HhnlCpuCost(in);
-  EXPECT_LT(pruned.cell_compares, base.cell_compares);
-  EXPECT_LT(pruned.accumulations, base.accumulations);
-  EXPECT_GT(pruned.bound_checks, 0.0);
-  EXPECT_GT(pruned.pairs_pruned, 0.0);
-  // The discount must beat the bound-check surcharge for the rate to be
-  // worth modeling at all.
-  EXPECT_LT(pruned.Total(), base.Total());
 }
 
 TEST(CpuModelTest, AccumulationEstimateConsistentAcrossAlgorithms) {

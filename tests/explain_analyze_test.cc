@@ -34,8 +34,8 @@ std::unique_ptr<JoinFixture> GoldenFixture(SimulatedDisk* disk) {
                      RandomCollection(disk, "c2", 20, 4, 40, 12));
 }
 
-// The planner's own cost inputs: the default JoinSpec has pruning enabled,
-// so the report carries the pruning counters and the predicted-CPU line.
+// The planner's own cost inputs, from which every report renders its
+// predicted-CPU line.
 CostInputs InputsFor(const JoinContext& ctx, const JoinSpec& spec) {
   auto plan = JoinPlanner().Plan(ctx, spec);
   TEXTJOIN_CHECK_OK(plan.status());
@@ -86,10 +86,10 @@ phase                   pred.seq  pred.rand   measured   err.seq
   read outer                1.56       1.56       6.00   +284.0%
   scan inner                2.93       6.93       7.00   +138.9%
   (query)
-      counters: batch_size_X=88 outer_batches=1 bound_tightness_pct=30
+      counters: batch_size_X=88 outer_batches=1
 
-cpu: CpuStats{compares=3929, accum=639, heap=462, decoded=0}
-pruning: bound_checks=600 pairs_pruned=2 early_exits=0 blocks_skipped=0
+cpu: CpuStats{compares=230, accum=642, heap=464, decoded=0}
+predicted cpu: total=867  measured=1336  err vs pred:  +54.1%
 )",
       Render(hhnl));
 }
@@ -107,10 +107,10 @@ phase                   pred.seq  pred.rand   measured   err.seq
   read inner batch          2.93      14.65       7.00   +138.9%
   rescan outer              1.56       7.81       6.00   +284.0%
   (query)
-      counters: batch_size_X=103 inner_batches=1 bound_tightness_pct=30
+      counters: batch_size_X=103 inner_batches=1
 
-cpu: CpuStats{compares=3929, accum=639, heap=462, decoded=0}
-pruning: bound_checks=600 pairs_pruned=2 early_exits=0 blocks_skipped=0
+cpu: CpuStats{compares=230, accum=642, heap=464, decoded=0}
+predicted cpu: total=867  measured=1336  err vs pred:  +54.1%
 )",
       Render(hhnl, /*hhnl_backward=*/true));
 }
@@ -132,6 +132,7 @@ phase                     pred.seq  pred.rand   measured   err.seq
       counters: cache_capacity_X=79 directory_probes=80 entry_fetches=0 cache_hits=69 evictions=0
 
 cpu: CpuStats{compares=642, accum=642, heap=464, decoded=122}
+predicted cpu: total=1030  measured=1870  err vs pred:  +81.6%
 )",
       Render(hvnl));
 }
@@ -151,40 +152,9 @@ phase                   pred.seq  pred.rand   measured   err.seq
       counters: passes=1
 
 cpu: CpuStats{compares=711, accum=642, heap=464, decoded=230}
+predicted cpu: total=1235  measured=2047  err vs pred:  +65.7%
 )",
       Render(vvm));
-}
-
-// The golden fixture's expected pruning rate is exactly zero (delta*N1 ==
-// lambda), so the predicted-CPU line is absent from the goldens above. With a
-// smaller lambda the rate is positive and the line must appear.
-TEST(ExplainAnalyzeTest, PredictedCpuLineAppearsWhenPruningRatePositive) {
-  HhnlJoin hhnl;
-  SimulatedDisk disk(256);
-  auto f = GoldenFixture(&disk);
-  JoinContext ctx = f->Context(kBufferPages);
-  JoinSpec spec;
-  spec.lambda = 1;
-
-  QueryStatsCollector collector(&disk);
-  ctx.stats = &collector;
-  auto result = hhnl.Run(ctx, spec);
-  TEXTJOIN_CHECK_OK(result.status());
-  QueryStats stats = collector.Finish();
-
-  CostInputs in = InputsFor(ctx, spec);
-  ASSERT_GT(in.pruning_rate, 0.0);
-  ExplainPlan plan;
-  plan.algorithm = hhnl.kind();
-  plan.costs = CompareCosts(in);
-  plan.hhnl_backward_cost = HhnlBackwardCost(in);
-  plan.inputs = in;
-
-  ExplainOptions options;
-  options.include_wall_time = false;
-  std::string report = RenderExplainAnalyze(plan, stats, options);
-  EXPECT_NE(report.find("predicted cpu:"), std::string::npos) << report;
-  EXPECT_NE(report.find("pruning: bound_checks="), std::string::npos) << report;
 }
 
 // ExecuteAnalyze ties it together: the planner's own report must carry the

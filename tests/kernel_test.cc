@@ -18,7 +18,6 @@
 #include "index/inverted_file.h"
 #include "join/hhnl.h"
 #include "join/hvnl.h"
-#include "join/pruning.h"
 #include "join/vvm.h"
 #include "kernel/dispatch.h"
 #include "kernel/group_varint.h"
@@ -258,32 +257,6 @@ TEST(KernelIdentityTest, ScaleCellsMatchesScalarBitForBit) {
       if (n > 0) {
         ASSERT_EQ(std::memcmp(out.data(), ref.data(), sizeof(double) * n), 0)
             << kernel::LevelName(level) << " n " << n;
-      }
-    }
-  }
-}
-
-TEST(KernelIdentityTest, PairBoundsMatchesScalarBitForBit) {
-  Rng rng(606 + SeedOffset());
-  for (int64_t n : {int64_t{0}, int64_t{1}, int64_t{5}, int64_t{128}}) {
-    std::vector<double> cands(static_cast<size_t>(4 * n));
-    for (double& v : cands) {
-      v = static_cast<double>(rng.NextBounded(1000)) / 7.0;
-    }
-    const double fm = 3.5, fs = 41.0, fn = 17.25, fi = 1.0 / 23.0;
-    for (bool fixed_is_a : {true, false}) {
-      std::vector<double> ref(static_cast<size_t>(n), -1.0);
-      kernel::kScalarTable.pair_bounds(cands.data(), n, fm, fs, fn, fi,
-                                       fixed_is_a, ref.data());
-      for (kernel::Level level : kernel::AvailableLevels()) {
-        std::vector<double> out(static_cast<size_t>(n), -2.0);
-        kernel::TableFor(level).pair_bounds(cands.data(), n, fm, fs, fn, fi,
-                                            fixed_is_a, out.data());
-        if (n > 0) {  // zero bytes are trivially equal
-          ASSERT_EQ(
-              std::memcmp(out.data(), ref.data(), sizeof(double) * n), 0)
-              << kernel::LevelName(level) << " n " << n;
-        }
       }
     }
   }

@@ -86,38 +86,6 @@ TEST(TopKTest, EqualScoreEvictionAtBoundary) {
   EXPECT_EQ(kept[1], (Match{15, 3.0}));
 }
 
-TEST(TopKTest, WorstScoreTracksBoundary) {
-  TopKAccumulator acc(2);
-  EXPECT_FALSE(acc.full());
-  EXPECT_DOUBLE_EQ(acc.worst_score(), 0.0);
-  acc.Add(1, 4.0);
-  EXPECT_DOUBLE_EQ(acc.worst_score(), 0.0);  // not full yet
-  acc.Add(2, 2.0);
-  EXPECT_TRUE(acc.full());
-  EXPECT_DOUBLE_EQ(acc.worst_score(), 2.0);
-  acc.Add(3, 3.0);
-  EXPECT_DOUBLE_EQ(acc.worst_score(), 3.0);
-}
-
-// CannotQualify must agree with what Add would do for a score equal to the
-// upper bound — same BetterMatch comparison, including doc tie-breaking.
-TEST(TopKTest, CannotQualifyMatchesAddSemantics) {
-  TopKAccumulator acc(2);
-  EXPECT_TRUE(acc.CannotQualify(1, 0.0));    // nonpositive bound
-  EXPECT_TRUE(acc.CannotQualify(1, -1.0));
-  EXPECT_FALSE(acc.CannotQualify(1, 0.5));   // heap not full: anything may
-  acc.Add(10, 5.0);
-  acc.Add(20, 3.0);
-  EXPECT_FALSE(acc.CannotQualify(1, 3.5));   // beats worst
-  EXPECT_TRUE(acc.CannotQualify(1, 2.5));    // below worst
-  // Ties at the boundary follow document order against doc 20.
-  EXPECT_FALSE(acc.CannotQualify(15, 3.0));  // smaller doc would evict
-  EXPECT_TRUE(acc.CannotQualify(30, 3.0));   // larger doc would be rejected
-
-  TopKAccumulator zero(0);
-  EXPECT_TRUE(zero.CannotQualify(1, 100.0));  // k == 0 keeps nothing
-}
-
 // Property sweep: TopKAccumulator agrees with sort-then-truncate for many
 // (k, n, duplicates) shapes.
 class TopKPropertyTest
