@@ -1,9 +1,10 @@
 // Wall-time trajectory of the dispatched hot-path kernels: every kernel
-// family (posting-block decode, contribution scaling, term merge) timed at every dispatch level compiled into this binary and
-// usable on this CPU, against the scalar varint decode as the pre-SIMD
-// baseline. Reports ns/op and cells/sec per (kernel, level) cell and
-// verifies — before timing anything — that every level produces bitwise
-// identical output, so a throughput win can never hide a numeric drift.
+// family (posting-block decode, term merge) timed at every dispatch level
+// compiled into this binary and usable on this CPU, against the scalar
+// varint decode as the pre-SIMD baseline. Reports ns/op and cells/sec per
+// (kernel, level) cell and verifies — before timing anything — that every
+// level produces bitwise identical output, so a throughput win can never
+// hide a numeric drift.
 //
 //   --smoke   CI-sized workload; additionally enforces the headline the
 //             tentpole must defend: group-varint decode through the best
@@ -38,7 +39,7 @@ namespace {
 // it is scheduler or frequency interference, never the code being
 // faster).
 template <typename Fn>
-double MeasureNs(Fn&& fn, int min_rounds = 50) {
+double MeasureNs(Fn&& fn) {
   using Clock = std::chrono::steady_clock;
   const auto time_rounds = [&](int rounds) {
     const auto t0 = Clock::now();
@@ -49,7 +50,7 @@ double MeasureNs(Fn&& fn, int min_rounds = 50) {
             .count());
   };
   fn();  // warm up: touches the data and resolves any lazy init
-  int rounds = min_rounds;
+  int rounds = 50;
   double best = 0;
   for (;;) {
     const double ns = time_rounds(rounds);
@@ -156,11 +157,8 @@ void Main(bool smoke, bool json) {
   }
   const kernel::KernelTable& scalar = kernel::TableFor(kernel::Level::kScalar);
   {
-    // Scoring and merge kernels: bitwise-compare each level to scalar.
+    // Merge kernel: compare each level's steps and matches to scalar.
     const int64_t nb = 1024;
-    kernel::DoubleBuffer ref_contrib(static_cast<size_t>(kBlock));
-    kernel::DoubleBuffer got_contrib(static_cast<size_t>(kBlock));
-    scalar.scale_cells(cells.data(), kBlock, 1.25, 0.75, ref_contrib.data());
     std::vector<DCell> da, db;
     for (int64_t i = 0; i < nb; ++i) {
       da.push_back(DCell{static_cast<TermId>(2 * i), 3});
@@ -176,11 +174,6 @@ void Main(bool smoke, bool json) {
                             1ll << 60, rma.data(), rmb.data(), &rnm);
     for (kernel::Level level : levels) {
       const kernel::KernelTable& k = kernel::TableFor(level);
-      k.scale_cells(cells.data(), kBlock, 1.25, 0.75, got_contrib.data());
-      if (std::memcmp(ref_contrib.data(), got_contrib.data(),
-                      sizeof(double) * static_cast<size_t>(kBlock)) != 0) {
-        Fatal("scale_cells output", k.name);
-      }
       kernel::MergeCursor cur;
       int64_t nm = 0;
       const int64_t steps =
@@ -236,14 +229,6 @@ void Main(bool smoke, bool json) {
       if (cps > best_gv_cells_per_sec) best_gv_cells_per_sec = cps;
       results.push_back(Cell{"gv_decode", k.name,
                              ns / static_cast<double>(num_blocks), cps});
-    }
-    {
-      kernel::DoubleBuffer out(static_cast<size_t>(kBlock));
-      const double ns = MeasureNs(
-          [&] { k.scale_cells(cells.data(), kBlock, 1.25, 0.75, out.data()); },
-          /*min_rounds=*/1000);
-      results.push_back(Cell{"scale_cells", k.name, ns,
-                             static_cast<double>(kBlock) / (ns * 1e-9)});
     }
     {
       // Two merge shapes: interleaved (term strides 2 and 3 — runs of 1-2

@@ -178,19 +178,22 @@ BENCHMARK(BM_BlockDecodeZeroAlloc)
     ->Arg(static_cast<int64_t>(PostingCompression::kGroupVarint));
 
 void BM_AccumulateEntry(benchmark::State& state) {
-  // The HVNL inner loop: merge one inverted entry into the accumulator.
+  // The HVNL inner loop: scatter one inverted entry's contributions into
+  // the dense accumulator over C1.
   const int64_t n = state.range(0);
   std::vector<ICell> entry;
   for (int64_t i = 0; i < n; ++i) {
     entry.push_back(ICell{static_cast<DocId>(i * 3), 2});
   }
-  std::unordered_map<DocId, double> acc;
+  std::vector<double> acc(static_cast<size_t>(3 * n), 0.0);
+  const double w2 = static_cast<double>(1 + n % 7);
+  const double factor = 1.0 + 1.0 / static_cast<double>(n);
   for (auto _ : state) {
     for (const ICell& c : entry) {
-      acc[c.doc] += static_cast<double>(c.weight) * 2.0;
+      acc[c.doc] += static_cast<double>(c.weight) * w2 * factor;
     }
-    benchmark::DoNotOptimize(acc.size());
-    if (acc.size() > 500000) acc.clear();
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n);
 }

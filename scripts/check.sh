@@ -5,7 +5,9 @@
 #   scripts/check.sh            normal mode (includes the bench_e2e smoke
 #                               test, `ctest -L bench` in .bench_build/)
 #   scripts/check.sh sanitize   ASan+UBSan build (separate build dir,
-#                               tests only, selected via `ctest -L sanitize`)
+#                               tests selected via `ctest -L sanitize`),
+#                               then the bench_e2e smoke run built with
+#                               the same sanitizers (.bench_build-sanitize/)
 #   scripts/check.sh chaos      fault-tolerance suite (`ctest -L chaos`)
 #                               swept under three fixed seed offsets, each
 #                               a different deterministic fault universe
@@ -37,6 +39,16 @@ if [ "${1:-}" = "sanitize" ]; then
   cmake -B build-sanitize -G Ninja -DTEXTJOIN_SANITIZE=ON
   cmake --build build-sanitize
   ctest --test-dir build-sanitize -L sanitize --output-on-failure
+  # The wall-clock benchmark's smoke run under the same sanitizers: every
+  # workload, with every executor forced, at benchmark shapes. bench_e2e
+  # is its own CMake project, so the flags go in through the cache.
+  san="-fsanitize=address,undefined -fno-omit-frame-pointer -fno-sanitize-recover=all"
+  cmake -S bench_e2e -B .bench_build-sanitize -G Ninja \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS="${san}" \
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+  cmake --build .bench_build-sanitize
+  .bench_build-sanitize/bench_e2e --smoke
   echo "SANITIZE CHECKS PASSED"
   exit 0
 fi

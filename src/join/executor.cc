@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "exec/governor.h"
 
@@ -105,6 +106,17 @@ Status ValidateJoinInputs(const JoinContext& ctx, const JoinSpec& spec) {
     if (i > 0 && spec.inner_subset[i - 1] >= d) {
       return Status::InvalidArgument(
           "inner subset must be strictly ascending");
+    }
+  }
+  return Status::OK();
+}
+
+Status CheckPostingDocs(std::span<const ICell> cells, int64_t num_docs) {
+  for (const ICell& c : cells) {
+    if (c.doc >= num_docs) {
+      return Status::DataLoss(
+          "posting cell names document " + std::to_string(c.doc) +
+          " of a collection of " + std::to_string(num_docs) + " documents");
     }
   }
   return Status::OK();

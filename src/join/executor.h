@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,8 +56,10 @@ struct JoinSpec {
   // can be reduced by a selection") and filter while accumulating.
   std::vector<DocId> inner_subset;
 
-  // delta: assumed fraction of non-zero similarities; used only to budget
-  // HVNL's accumulator space, as in the paper's memory formula.
+  // delta: assumed fraction of non-zero similarities. It sizes only the
+  // paper's page charges for HVNL's accumulator (HvnlJoin::CacheCapacity)
+  // and VVM's similarity matrix (VvmJoin::Passes); the executors'
+  // accumulators are dense, whatever the fill.
   double delta = 0.1;
 };
 
@@ -130,6 +133,13 @@ Status ForEachInnerDoc(const JoinContext& ctx, const JoinSpec& spec,
 // Validates common preconditions (collections present, same page size,
 // subset sorted and in range).
 Status ValidateJoinInputs(const JoinContext& ctx, const JoinSpec& spec);
+
+// Posting cells must name documents of the collection their inverted file
+// indexes, but decode bounds a document number only by kMaxDocId. HVNL and
+// VVM index dense accumulators (and the cosine norms) by these numbers, so
+// they check each cell once, when it is decoded: DATA_LOSS naming the
+// first document at or beyond `num_docs`.
+Status CheckPostingDocs(std::span<const ICell> cells, int64_t num_docs);
 
 // The buffer pages an executor may actually allocate from: sys.buffer_pages
 // capped by the governor's memory budget. Under memory pressure the

@@ -1,7 +1,6 @@
 #include "join/hhnl.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <utility>
@@ -49,7 +48,6 @@ class BatchIndex {
     std::copy_backward(start_.begin(), start_.end() - 1, start_.end());
     start_[0] = 0;
     acc_.assign(docs.size(), 0.0);
-    touched_.assign((docs.size() + 63) / 64, 0);
     if (cpu != nullptr) cpu->cell_compares += static_cast<int64_t>(total);
   }
 
@@ -71,21 +69,10 @@ class BatchIndex {
       for (uint32_t k = lo; k < hi; ++k) {
         const Cell& r = cells_[k];
         acc_[r.slot] += w * static_cast<double>(r.weight) * factor;
-        touched_[r.slot / 64] |= uint64_t{1} << (r.slot % 64);
       }
       adds += hi - lo;
     }
-    int64_t offers = 0;
-    for (size_t word = 0; word < touched_.size(); ++word) {
-      for (uint64_t bits = std::exchange(touched_[word], 0); bits != 0;
-           bits &= bits - 1) {
-        const size_t slot = word * 64 + std::countr_zero(bits);
-        const double sum = std::exchange(acc_[slot], 0.0);
-        if (sum <= 0) continue;
-        ++offers;
-        emit(slot, sum);
-      }
-    }
+    const int64_t offers = DrainPositive(acc_, emit);
     if (cpu != nullptr) {
       cpu->cell_compares += doc.num_terms();
       cpu->accumulations += adds;
@@ -101,10 +88,9 @@ class BatchIndex {
   static_assert(sizeof(Cell) <= sizeof(DCell),
                 "an indexed cell must take no more memory than a d-cell");
 
-  std::vector<uint32_t> start_;   // dense term directory, max term + 2
-  std::vector<Cell> cells_;       // grouped by term, slot order within
-  std::vector<double> acc_;       // per-slot sums of the streamed document
-  std::vector<uint64_t> touched_; // bitmap of slots acc_ holds a sum for
+  std::vector<uint32_t> start_;  // dense term directory, max term + 2
+  std::vector<Cell> cells_;      // grouped by term, slot order within
+  std::vector<double> acc_;      // per-slot sums of the streamed document
 };
 
 }  // namespace

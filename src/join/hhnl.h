@@ -22,7 +22,9 @@ namespace textjoin {
 // streamed document looks each of its terms up once and adds the products
 // into a dense per-slot accumulator (8 bytes per slot), summing every
 // pair's products in WeightedDot's order, so scores are bit-identical to a
-// per-pair merge and page reads are the paper's.
+// per-pair merge and page reads are the paper's. One ascending scan then
+// offers the positive sums and resets the slots (DrainPositive,
+// join/topk.h).
 //
 // The backward order the paper mentions (process C1 as the outer loop;
 // cheaper when C1 is much smaller than C2) is available as an option: it

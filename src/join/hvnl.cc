@@ -9,8 +9,6 @@
 #include "common/logging.h"
 #include "cost/cost_model.h"
 #include "index/posting_cursor.h"
-#include "kernel/aligned.h"
-#include "kernel/dispatch.h"
 #include "obs/query_stats.h"
 
 namespace textjoin {
@@ -182,18 +180,6 @@ Result<JoinResult> HvnlJoin::Run(const JoinContext& ctx,
   const std::vector<char> inner_member = InnerMembership(ctx, spec);
   const bool random_outer = !spec.outer_subset.empty();
 
-  // Per-cell contributions (w1 * w2) * factor of one posting run, computed
-  // by the dispatched scoring kernel. Sized once to the largest inner
-  // entry, so the accumulation hot loop never reallocates.
-  kernel::DoubleBuffer contrib;
-  {
-    int64_t max_cells = 0;
-    for (const auto& e : index_entries) {
-      max_cells = std::max(max_cells, e.cell_count);
-    }
-    contrib.resize(static_cast<size_t>(max_cells));
-  }
-
   // Greedy ordering (Section 4.2's alternative): learn each outer
   // document's C1-relevant terms in one metered pass, then process the
   // documents in most-cache-overlap-first order with positioned reads.
@@ -232,11 +218,10 @@ Result<JoinResult> HvnlJoin::Run(const JoinContext& ctx,
   JoinResult result;
   result.reserve(participating.size());
   auto outer_scan = ctx.outer->Scan();
-  std::unordered_map<DocId, double> acc;
-  acc.reserve(static_cast<size_t>(
-                  spec.delta *
-                  static_cast<double>(ctx.inner->num_documents())) +
-              16);
+  // One outer document's sums, indexed by C1 document and reused across
+  // outer documents: every slot is +0.0 when a document's probe starts.
+  const int64_t n1 = ctx.inner->num_documents();
+  std::vector<double> acc(static_cast<size_t>(n1), 0.0);
   TopKAccumulator heap(spec.lambda);  // reused across outer documents
   std::vector<char> processed(participating.size(), 0);
 
@@ -274,8 +259,6 @@ Result<JoinResult> HvnlJoin::Run(const JoinContext& ctx,
     if (stats != nullptr) stats->EndPhase();
     const DocId outer_doc = participating[pick];
 
-    acc.clear();
-
     PhaseScope probe(stats, phase::kProbeEntries);
     for (const DCell& c : d2.cells()) {
       ++directory_probes;
@@ -289,24 +272,22 @@ Result<JoinResult> HvnlJoin::Run(const JoinContext& ctx,
         int64_t newly = 0;
         TEXTJOIN_ASSIGN_OR_RETURN(const kernel::ICellBuffer* cells,
                                   lazy.All(&newly));
-        // Contributions come from the vectorized scoring kernel; the
-        // scatter into the accumulator stays sequential and in document
-        // order, so scores are bit-identical to the scalar loop.
-        const int64_t n = static_cast<int64_t>(cells->size());
-        kernel::Active().scale_cells(cells->data(), n, w2, factor,
-                                     contrib.data());
+        // An entry is checked once, when it is decoded: the scatter below
+        // indexes acc (and Finalize the norms) by its document numbers.
+        if (newly > 0) {
+          TEXTJOIN_RETURN_IF_ERROR(CheckPostingDocs(*cells, n1));
+        }
         int64_t performed = 0;
-        for (int64_t k = 0; k < n; ++k) {
-          const ICell& ic = (*cells)[static_cast<size_t>(k)];
+        for (const ICell& ic : *cells) {
           if (!inner_member.empty() && !inner_member[ic.doc]) continue;
-          acc[ic.doc] += contrib[static_cast<size_t>(k)];
+          acc[ic.doc] += static_cast<double>(ic.weight) * w2 * factor;
           ++performed;
         }
         if (cpu != nullptr) {
           cpu->cells_decoded += newly;
           cpu->accumulations += performed;
           // The entry walk visits every cell.
-          cpu->cell_compares += n;
+          cpu->cell_compares += static_cast<int64_t>(cells->size());
         }
         return Status::OK();
       };
@@ -328,12 +309,11 @@ Result<JoinResult> HvnlJoin::Run(const JoinContext& ctx,
       }
     }
 
-    if (cpu != nullptr) {
-      cpu->heap_offers += static_cast<int64_t>(acc.size());
-    }
-    for (const auto& [inner_doc, a] : acc) {
-      heap.Add(inner_doc, ctx.similarity->Finalize(a, inner_doc, outer_doc));
-    }
+    const int64_t offers = DrainPositive(acc, [&](size_t i, double sum) {
+      const DocId inner_doc = static_cast<DocId>(i);
+      heap.Add(inner_doc, ctx.similarity->Finalize(sum, inner_doc, outer_doc));
+    });
+    if (cpu != nullptr) cpu->heap_offers += offers;
     result.push_back(OuterMatches{outer_doc, heap.TakeSorted()});
   }
   if (greedy) {

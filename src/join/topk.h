@@ -1,7 +1,10 @@
 #ifndef TEXTJOIN_JOIN_TOPK_H_
 #define TEXTJOIN_JOIN_TOPK_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "text/types.h"
@@ -46,6 +49,25 @@ class TopKAccumulator {
   int64_t k_;
   std::vector<Match> heap_;  // min-heap wrt BetterMatch
 };
+
+// The drain of a dense accumulator (HHNL's per-slot sums, HVNL's array over
+// C1, each row of VVM's slab): one ascending scan calls emit(index, sum)
+// for every slot whose sum is above 0 and resets every slot to +0.0.
+// Returns the number of offers. The top-lambda result does not depend on
+// offer order (BetterMatch is a total order), so the ascending scan
+// changes no result.
+template <typename Emit>
+int64_t DrainPositive(std::span<double> acc, Emit&& emit) {
+  int64_t offers = 0;
+  for (size_t i = 0; i < acc.size(); ++i) {
+    const double sum = std::exchange(acc[i], 0.0);
+    if (sum > 0) {
+      ++offers;
+      emit(i, sum);
+    }
+  }
+  return offers;
+}
 
 }  // namespace textjoin
 

@@ -2,20 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_map>
+#include <span>
 
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "index/posting_cursor.h"
-#include "kernel/aligned.h"
-#include "kernel/dispatch.h"
 #include "obs/query_stats.h"
 
 namespace textjoin {
-
-// Accumulator keys pack the (outer, inner) document pair into 64 bits:
-// outer in the high word, inner in the low word (document numbers are
-// 3 bytes, so this is lossless).
 
 int64_t VvmJoin::Passes(const JoinContext& ctx, const JoinSpec& spec) {
   const double P = static_cast<double>(ctx.sys.page_size);
@@ -48,21 +42,20 @@ Result<JoinResult> VvmJoin::Run(const JoinContext& ctx,
   }
 
   const std::vector<DocId> participating = ParticipatingOuterDocs(ctx, spec);
+  const int64_t m = static_cast<int64_t>(participating.size());
   // No point in more passes than participating documents.
-  passes = std::min<int64_t>(
-      passes, std::max<int64_t>(1, static_cast<int64_t>(participating.size())));
-  // Map every outer document to its subcollection (pass index), -1 if it
-  // does not participate. Subcollections are contiguous equal-count slices
-  // of the participating documents.
-  std::vector<int32_t> pass_of(
-      static_cast<size_t>(ctx.outer->num_documents()), -1);
-  const int64_t per_pass =
-      CeilDiv(static_cast<int64_t>(participating.size()),
-              std::max<int64_t>(passes, 1));
+  passes = std::min<int64_t>(passes, std::max<int64_t>(1, m));
+  // Map every outer document to its position among the participating
+  // documents, -1 if it does not participate. Subcollections are
+  // contiguous equal-count slices of the participating documents, so the
+  // position gives both the pass and the slot within it.
+  const int64_t n1 = ctx.inner->num_documents();
+  const int64_t n2 = ctx.outer->num_documents();
+  std::vector<int32_t> index_of(static_cast<size_t>(n2), -1);
   for (size_t i = 0; i < participating.size(); ++i) {
-    pass_of[participating[i]] =
-        per_pass == 0 ? 0 : static_cast<int32_t>(i / per_pass);
+    index_of[participating[i]] = static_cast<int32_t>(i);
   }
+  const int64_t per_pass = CeilDiv(m, passes);
 
   const std::vector<char> inner_member = InnerMembership(ctx, spec);
   QueryStatsCollector* stats = ctx.stats;
@@ -72,34 +65,40 @@ Result<JoinResult> VvmJoin::Run(const JoinContext& ctx,
     stats->SetCounter("passes", passes);
   }
 
+  // Decodes what is left of an entry. Every cell is checked once, when it
+  // is decoded: the scatter indexes index_of by C2 document numbers and
+  // the slab (and Finalize the norms) by C1's.
+  auto decode_all = [&](BlockLazyEntry& e, int64_t num_docs)
+      -> Result<const kernel::ICellBuffer*> {
+    int64_t newly = 0;
+    TEXTJOIN_ASSIGN_OR_RETURN(const kernel::ICellBuffer* cells, e.All(&newly));
+    if (newly > 0) {
+      TEXTJOIN_RETURN_IF_ERROR(CheckPostingDocs(*cells, num_docs));
+      if (cpu != nullptr) cpu->cells_decoded += newly;
+    }
+    return cells;
+  };
+
   JoinResult result;
   result.reserve(participating.size());
-  std::unordered_map<uint64_t, double> acc;
-  // Per-cell contributions of one C1 entry against one outer cell, from
-  // the dispatched scoring kernel. Sized once to the largest C1 entry so
-  // the merge's accumulation loops never reallocate.
-  kernel::DoubleBuffer contribs;
-  {
-    int64_t max_cells = 0;
-    for (const auto& e : ctx.inner_index->entries()) {
-      max_cells = std::max(max_cells, e.cell_count);
-    }
-    contribs.resize(static_cast<size_t>(max_cells));
-  }
+  // The pass's similarity matrix: one row of N1 sums per slot of the
+  // slice, slot-major, allocated once and reset row by row as each pass is
+  // drained.
+  std::vector<double> acc(static_cast<size_t>(per_pass * n1), 0.0);
+  TopKAccumulator heap(spec.lambda);  // reused across outer documents
   for (int64_t pass = 0; pass < passes; ++pass) {
     TEXTJOIN_RETURN_IF_ERROR(GovernorCheckpoint(ctx, "VVM merge pass"));
-    acc.clear();
 
     // This pass's contiguous slice of the (ascending) participating outer
     // documents. Every outer cell outside [pass_first, pass_last] fails the
     // pass filter, so with pruning on a C2 posting block whose document
     // span misses the slice is passed over undecoded.
-    const size_t slice_lo = static_cast<size_t>(pass * per_pass);
-    const size_t slice_hi = std::min(
-        participating.size(), static_cast<size_t>((pass + 1) * per_pass));
-    const bool slice_empty = slice_lo >= slice_hi;
+    const int64_t slice_lo = std::min(pass * per_pass, m);
+    const int64_t slots = std::min(slice_lo + per_pass, m) - slice_lo;
+    const bool slice_empty = slots == 0;
     const DocId pass_first = slice_empty ? 0 : participating[slice_lo];
-    const DocId pass_last = slice_empty ? 0 : participating[slice_hi - 1];
+    const DocId pass_last =
+        slice_empty ? 0 : participating[slice_lo + slots - 1];
 
     PhaseScope merge(stats, phase::kMergeScan);
     // Parallel scan of both inverted files, merging on term number.
@@ -130,36 +129,27 @@ Result<JoinResult> VvmJoin::Run(const JoinContext& ctx,
                           std::move(raw2));
         if (!spec.prune) {
           // The paper's merge scan decodes both entries up front.
-          int64_t newly1 = 0, newly2 = 0;
-          TEXTJOIN_RETURN_IF_ERROR(e1.All(&newly1).status());
-          TEXTJOIN_RETURN_IF_ERROR(e2.All(&newly2).status());
-          if (cpu != nullptr) cpu->cells_decoded += newly1 + newly2;
+          TEXTJOIN_RETURN_IF_ERROR(decode_all(e1, n1).status());
+          TEXTJOIN_RETURN_IF_ERROR(decode_all(e2, n2).status());
         }
         const double factor = ctx.similarity->TermFactor(t1);
         auto process_cell = [&](const ICell& oc) -> Status {
-          if (pass_of[oc.doc] != pass) return Status::OK();
-          int64_t newly = 0;
+          const int64_t slot = index_of[oc.doc] - slice_lo;
+          if (slot < 0 || slot >= slots) return Status::OK();
           TEXTJOIN_ASSIGN_OR_RETURN(const kernel::ICellBuffer* cells1,
-                                    e1.All(&newly));
+                                    decode_all(e1, n1));
           const double w2 = static_cast<double>(oc.weight);
-          const uint64_t base = static_cast<uint64_t>(oc.doc) << 32;
-          // Vectorized contributions, sequential in-document-order scatter
-          // — bit-identical to the scalar accumulation loop.
-          const int64_t n1 = static_cast<int64_t>(cells1->size());
-          kernel::Active().scale_cells(cells1->data(), n1, w2, factor,
-                                       contribs.data());
+          double* row = acc.data() + slot * n1;
           int64_t performed = 0;
-          for (int64_t k1 = 0; k1 < n1; ++k1) {
-            const ICell& icell = (*cells1)[static_cast<size_t>(k1)];
+          for (const ICell& icell : *cells1) {
             if (!inner_member.empty() && !inner_member[icell.doc]) continue;
-            acc[base | icell.doc] += contribs[static_cast<size_t>(k1)];
+            row[icell.doc] += static_cast<double>(icell.weight) * w2 * factor;
             ++performed;
           }
           if (cpu != nullptr) {
-            cpu->cells_decoded += newly;
             cpu->accumulations += performed;
             // Every C1 cell is visited for this outer cell.
-            cpu->cell_compares += n1;
+            cpu->cell_compares += static_cast<int64_t>(cells1->size());
           }
           return Status::OK();
         };
@@ -180,21 +170,24 @@ Result<JoinResult> VvmJoin::Run(const JoinContext& ctx,
             int64_t newly2 = 0;
             TEXTJOIN_ASSIGN_OR_RETURN(const ICell* cells2,
                                       e2.Block(b2, &newly2));
+            const std::span<const ICell> block2(
+                cells2, static_cast<size_t>(bm2.cell_count));
+            if (newly2 > 0) {
+              TEXTJOIN_RETURN_IF_ERROR(CheckPostingDocs(block2, n2));
+            }
             if (cpu != nullptr) {
               cpu->cells_decoded += newly2;
               // Every decoded C2 cell is visited for the pass filter.
-              cpu->cell_compares += static_cast<int64_t>(bm2.cell_count);
+              cpu->cell_compares += bm2.cell_count;
             }
-            for (int64_t k = 0; k < bm2.cell_count; ++k) {
-              TEXTJOIN_RETURN_IF_ERROR(process_cell(cells2[k]));
+            for (const ICell& oc : block2) {
+              TEXTJOIN_RETURN_IF_ERROR(process_cell(oc));
             }
           }
         } else {
-          int64_t newly2 = 0;
           TEXTJOIN_ASSIGN_OR_RETURN(const kernel::ICellBuffer* cells2,
-                                    e2.All(&newly2));
+                                    decode_all(e2, n2));
           if (cpu != nullptr) {
-            cpu->cells_decoded += newly2;
             cpu->cell_compares += static_cast<int64_t>(cells2->size());
           }
           for (const ICell& oc : *cells2) {
@@ -215,26 +208,20 @@ Result<JoinResult> VvmJoin::Run(const JoinContext& ctx,
       TEXTJOIN_RETURN_IF_ERROR(scan2.SkipEntry());
     }
 
-    // Emit results for this pass's subcollection, ascending by document.
+    // Emit results for this pass's subcollection, ascending by document:
+    // drain each slot's row, which leaves it zeroed for the next pass.
     TEXTJOIN_RETURN_IF_ERROR(GovernorCheckpoint(ctx, "VVM matrix partition"));
-    const size_t lo = slice_lo;
-    const size_t hi = slice_hi;
-    std::unordered_map<DocId, TopKAccumulator> heaps;
-    for (size_t i = lo; i < hi; ++i) {
-      heaps.emplace(participating[i], TopKAccumulator(spec.lambda));
-    }
-    if (cpu != nullptr) {
-      cpu->heap_offers += static_cast<int64_t>(acc.size());
-    }
-    for (const auto& [key, a] : acc) {
-      DocId outer_doc = static_cast<DocId>(key >> 32);
-      DocId inner_doc = static_cast<DocId>(key & 0xFFFFFFFFu);
-      heaps.at(outer_doc).Add(
-          inner_doc, ctx.similarity->Finalize(a, inner_doc, outer_doc));
-    }
-    for (size_t i = lo; i < hi; ++i) {
-      result.push_back(OuterMatches{participating[i],
-                                    heaps.at(participating[i]).TakeSorted()});
+    for (int64_t slot = 0; slot < slots; ++slot) {
+      const DocId outer_doc = participating[slice_lo + slot];
+      const std::span<double> row(acc.data() + slot * n1,
+                                  static_cast<size_t>(n1));
+      const int64_t offers = DrainPositive(row, [&](size_t i, double sum) {
+        const DocId inner_doc = static_cast<DocId>(i);
+        heap.Add(inner_doc,
+                 ctx.similarity->Finalize(sum, inner_doc, outer_doc));
+      });
+      if (cpu != nullptr) cpu->heap_offers += offers;
+      result.push_back(OuterMatches{outer_doc, heap.TakeSorted()});
     }
   }
   return result;

@@ -17,6 +17,13 @@ namespace textjoin {
 // With JoinSpec::prune, a pass decodes and filters only the C2 posting
 // blocks whose document span overlaps its subcollection (the pass-slice
 // block skip); the result is identical.
+//
+// The matrix itself is a dense slab of doubles: one row of N1 sums per
+// outer document of a pass, slot-major, allocated once and drained row by
+// row (DrainPositive, join/topk.h) after each pass. For m participating
+// outer documents that is 8*N1*ceil(m/passes) bytes whatever the fill; by
+// Passes' formula at most 2*M*P/delta + 8*N1 bytes. Passes keeps the
+// paper's SM charge.
 class VvmJoin : public TextJoinAlgorithm {
  public:
   Algorithm kind() const override { return Algorithm::kVvm; }

@@ -10,10 +10,10 @@
 namespace textjoin {
 namespace kernel {
 
-// Minimal over-aligning allocator so hot-path buffers (decoded posting
-// cells, scoring scratch) start on a vector-register boundary. The SIMD
-// kernels use unaligned loads — correctness never depends on this — but
-// an aligned base keeps every 32-byte lane load within one cache line.
+// Minimal over-aligning allocator so decoded posting cells start on a
+// vector-register boundary. The SIMD decoders use unaligned stores —
+// correctness never depends on this — but an aligned base keeps their
+// 16-byte stores of two cells from straddling a cache line.
 template <typename T, std::size_t Alignment>
 class AlignedAllocator {
  public:
@@ -46,11 +46,8 @@ class AlignedAllocator {
   }
 };
 
-// Decoded posting cells, 32-byte aligned for the AVX2 4-cell loads.
+// Decoded posting cells, 32-byte aligned for the AVX2 4-cell stores.
 using ICellBuffer = std::vector<ICell, AlignedAllocator<ICell, 32>>;
-
-// Scoring scratch (per-cell contributions).
-using DoubleBuffer = std::vector<double, AlignedAllocator<double, 32>>;
 
 }  // namespace kernel
 }  // namespace textjoin

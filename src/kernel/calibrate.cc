@@ -99,15 +99,16 @@ CalibratedCosts Measure() {
         NsPerOp(total_steps, t0, std::chrono::steady_clock::now());
   }
 
-  {  // accumulation: contribution scale plus the in-order add.
-    std::vector<double> contrib(static_cast<size_t>(kCells));
-    double acc = 0;
+  {  // accumulation: the executors' fused scatter into a dense array.
+    std::vector<double> acc(static_cast<size_t>(cells.back().doc) + 1, 0.0);
     const auto t0 = std::chrono::steady_clock::now();
     for (int r = 0; r < kRounds; ++r) {
-      k.scale_cells(cells.data(), kCells, 2.0, 1.5, contrib.data());
-      for (int64_t i = 0; i < kCells; ++i) acc += contrib[i];
+      const double w2 = static_cast<double>(1 + r % 3);
+      for (const ICell& c : cells) {
+        acc[c.doc] += static_cast<double>(c.weight) * w2 * 1.5;
+      }
     }
-    g_sink_d = acc;
+    g_sink_d = acc[cells.back().doc];
     costs.ns_per_accumulation =
         NsPerOp(kRounds * kCells, t0, std::chrono::steady_clock::now());
   }

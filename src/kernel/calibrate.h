@@ -12,7 +12,7 @@ namespace kernel {
 // next to the counts without making the counts machine-dependent.
 struct CalibratedCosts {
   double ns_per_merge_step = 0;     // linear term-merge, per logical step
-  double ns_per_accumulation = 0;   // contribution scale + add, per cell
+  double ns_per_accumulation = 0;   // dense scatter-add, per cell
   double ns_per_cell_varint = 0;    // kDeltaVarint block decode, per cell
   double ns_per_cell_gv = 0;        // kGroupVarint block decode, per cell
 };

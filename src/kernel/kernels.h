@@ -15,16 +15,12 @@ namespace kernel {
 // outputs bit for bit, same failure classification — so the executors
 // above never need to know which level ran.
 //
-// Floating-point bit-identity argument (DESIGN.md section 13): the SIMD
-// variants vectorize only work whose fp result is order-free — individual
-// products (each computed by the same sequence of IEEE-exact operations
-// per element) and min/max lattices — while every ORDER-SENSITIVE
-// reduction (score accumulation) stays a sequential in-order sum in both
-// arms. In-order reduction was chosen over pairwise deliberately: the
-// executors' accumulator loops scatter into per-candidate slots in
-// ascending term order, an order pairwise reduction cannot reproduce, and
-// cross-executor bit-identity (HHNL == HVNL == VVM) has been a tested
-// invariant since PR 1.
+// Floating-point bit-identity (DESIGN.md section 13): no kernel here
+// computes a floating-point value. Block decode and the term merge are
+// integer work, exact at every level by construction. Every score product
+// and sum is computed by the executors' own scalar loops, inline in the
+// scatter into their dense accumulators, so the dispatch level cannot
+// change a score bit.
 
 // Cursor of the two-pointer term merge between two sorted d-cell arrays.
 struct MergeCursor {
@@ -45,13 +41,6 @@ struct KernelTable {
   // corrupt pages reach this path through the chaos suite's bit flips.
   Status (*gv_decode)(const uint8_t* bytes, int64_t byte_length,
                       int64_t count, ICell* out, int64_t* consumed);
-
-  // Scoring kernel behind the HVNL/VVM accumulator loops:
-  //   out[k] = (double(cells[k].weight) * w2) * factor
-  // — the exact expression (and association order) the scalar loops used,
-  // evaluated per lane, so the later in-order adds are bit-identical.
-  void (*scale_cells)(const ICell* cells, int64_t n, double w2, double factor,
-                      double* out);
 
   // Advances the linear term merge of WeightedDot by at most `max_steps`
   // logical steps (one step = one iteration of the scalar two-pointer

@@ -100,37 +100,13 @@ Status GvDecodeAvx2(const uint8_t* bytes, int64_t byte_length, int64_t count,
   return Status::OK();
 }
 
-void ScaleCellsAvx2(const ICell* cells, int64_t n, double w2, double factor,
-                    double* out) {
-  const __m256d w2v = _mm256_set1_pd(w2);
-  const __m256d fv = _mm256_set1_pd(factor);
-  // Within each 128-bit lane (two 8-byte cells), gather the uint16
-  // weights at byte offsets 4..5 and 12..13 into zero-extended dwords 0
-  // and 1; the cross-lane permute then compacts the four weights.
-  const __m256i shuf = _mm256_setr_epi8(
-      4, 5, -128, -128, 12, 13, -128, -128, -128, -128, -128, -128, -128,
-      -128, -128, -128, 4, 5, -128, -128, 12, 13, -128, -128, -128, -128,
-      -128, -128, -128, -128, -128, -128);
-  const __m256i pack = _mm256_setr_epi32(0, 1, 4, 5, 0, 0, 0, 0);
-  int64_t k = 0;
-  for (; k + 4 <= n; k += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cells + k));
-    const __m128i w4 = _mm256_castsi256_si128(
-        _mm256_permutevar8x32_epi32(_mm256_shuffle_epi8(v, shuf), pack));
-    const __m256d w = _mm256_cvtepi32_pd(w4);
-    _mm256_storeu_pd(out + k, _mm256_mul_pd(_mm256_mul_pd(w, w2v), fv));
-  }
-  internal::ScaleCellsScalarImpl(cells + k, n - k, w2, factor, out + k);
-}
-
 }  // namespace
 
 // The merge stays the shared portable walk at this level too — see the
 // MergeLinearPortable comment in kernels_common.h for the measurements
 // behind that decision.
 const KernelTable kAvx2Table = {
-    "avx2", GvDecodeAvx2, ScaleCellsAvx2, internal::MergeLinearPortable,
+    "avx2", GvDecodeAvx2, internal::MergeLinearPortable,
 };
 
 }  // namespace kernel

@@ -101,15 +101,6 @@ inline Status GvDecodeScalarImpl(const uint8_t* bytes, int64_t byte_length,
   return Status::OK();
 }
 
-// out[k] = (double(weight) * w2) * factor — the executors' accumulation
-// contribution, association order included.
-inline void ScaleCellsScalarImpl(const ICell* cells, int64_t n, double w2,
-                                 double factor, double* out) {
-  for (int64_t k = 0; k < n; ++k) {
-    out[k] = static_cast<double>(cells[k].weight) * w2 * factor;
-  }
-}
-
 // The paper's two-pointer walk with a step budget: one logical step per
 // loop iteration, matches appended as index pairs in ascending term order.
 inline int64_t MergeLinearScalarImpl(const DCell* a, int64_t na,

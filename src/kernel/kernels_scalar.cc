@@ -16,11 +16,6 @@ Status GvDecodeScalar(const uint8_t* bytes, int64_t byte_length, int64_t count,
                                       consumed);
 }
 
-void ScaleCellsScalar(const ICell* cells, int64_t n, double w2, double factor,
-                      double* out) {
-  internal::ScaleCellsScalarImpl(cells, n, w2, factor, out);
-}
-
 }  // namespace
 
 namespace internal {
@@ -36,7 +31,7 @@ int64_t MergeLinearPortable(const DCell* a, int64_t na, const DCell* b,
 }  // namespace internal
 
 const KernelTable kScalarTable = {
-    "scalar", GvDecodeScalar, ScaleCellsScalar, internal::MergeLinearPortable,
+    "scalar", GvDecodeScalar, internal::MergeLinearPortable,
 };
 
 }  // namespace kernel

@@ -2,10 +2,8 @@
 // -msse4.2 (see src/kernel/CMakeLists.txt) and only when the compiler
 // accepts the flag; runtime CPU detection in dispatch.cc decides whether
 // the table is ever used. Everything here must be bit-identical to the
-// scalar table: the vector loops only batch work whose per-element result
-// is exact (byte shuffles, integer compares, independent IEEE multiplies)
-// and leave every order-sensitive reduction to the same sequential code
-// the scalar table runs.
+// scalar table: the vector loops do only integer work (byte shuffles,
+// compares, prefix sums), which is exact by construction.
 
 #ifdef TEXTJOIN_HAVE_SSE42
 
@@ -88,32 +86,13 @@ Status GvDecodeSse42(const uint8_t* bytes, int64_t byte_length, int64_t count,
   return Status::OK();
 }
 
-void ScaleCellsSse42(const ICell* cells, int64_t n, double w2, double factor,
-                     double* out) {
-  const __m128d w2v = _mm_set1_pd(w2);
-  const __m128d fv = _mm_set1_pd(factor);
-  // Gather the two uint16 weights of a 16-byte pair of cells (byte
-  // offsets 4..5 and 12..13) into zero-extended dwords 0 and 1.
-  const __m128i shuf = _mm_setr_epi8(4, 5, -128, -128, 12, 13, -128, -128,
-                                     -128, -128, -128, -128, -128, -128,
-                                     -128, -128);
-  int64_t k = 0;
-  for (; k + 2 <= n; k += 2) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(cells + k));
-    const __m128d w = _mm_cvtepi32_pd(_mm_shuffle_epi8(v, shuf));
-    _mm_storeu_pd(out + k, _mm_mul_pd(_mm_mul_pd(w, w2v), fv));
-  }
-  internal::ScaleCellsScalarImpl(cells + k, n - k, w2, factor, out + k);
-}
-
 }  // namespace
 
 // The merge stays the shared portable walk at this level too — see the
 // MergeLinearPortable comment in kernels_common.h for the measurements
 // behind that decision.
 const KernelTable kSse42Table = {
-    "sse42", GvDecodeSse42, ScaleCellsSse42, internal::MergeLinearPortable,
+    "sse42", GvDecodeSse42, internal::MergeLinearPortable,
 };
 
 }  // namespace kernel

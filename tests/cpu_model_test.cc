@@ -52,6 +52,9 @@ TEST(CpuStatsTest, ArithmeticAndToString) {
 // and offer EXACTLY the same candidates — one per pair with a non-zero
 // score — whether JoinSpec::prune is on or off and in either HHNL order.
 // With an inner subset only the eligible inner documents' pairs count.
+// The dense accumulators are drained and reused across VVM's passes (a
+// buffer forcing several) and across HVNL's outer documents (also in
+// greedy order), and must count the same there too.
 TEST(CpuCountingTest, AccumulationsIdenticalAcrossAlgorithms) {
   SimulatedDisk disk(256);
   auto f = MakeFixture(&disk, RandomCollection(&disk, "c1", 50, 6, 60, 71),
@@ -63,12 +66,23 @@ TEST(CpuCountingTest, AccumulationsIdenticalAcrossAlgorithms) {
   HhnlJoin hhnl;
   HhnlJoin hhnl_backward(HhnlJoin::Options{/*backward=*/true});
   HvnlJoin hvnl;
+  HvnlJoin hvnl_greedy(HvnlJoin::Options{
+      HvnlJoin::Replacement::kLowestOuterDf,
+      HvnlJoin::OuterOrder::kGreedyIntersection});
   VvmJoin vvm;
-  const std::pair<const char*, TextJoinAlgorithm*> algorithms[] = {
+  struct Case {
+    const char* name;
+    TextJoinAlgorithm* algorithm;
+    int64_t buffer_pages = 100;
+    bool multi_pass = false;
+  };
+  const Case algorithms[] = {
       {"HHNL", &hhnl},
       {"HHNL backward", &hhnl_backward},
       {"HVNL", &hvnl},
-      {"VVM", &vvm}};
+      {"HVNL greedy", &hvnl_greedy},
+      {"VVM", &vvm},
+      {"VVM multi-pass", &vvm, /*buffer_pages=*/6, /*multi_pass=*/true}};
 
   for (const bool subset : {false, true}) {
     JoinSpec spec;
@@ -89,18 +103,23 @@ TEST(CpuCountingTest, AccumulationsIdenticalAcrossAlgorithms) {
     int64_t heap_offers = -1;
     for (const bool prune : {false, true}) {
       spec.prune = prune;
-      for (const auto& [name, algorithm] : algorithms) {
+      for (const Case& c : algorithms) {
         QueryStatsCollector collector(&disk);
-        JoinContext ctx = f->Context(100);
+        JoinContext ctx = f->Context(c.buffer_pages);
         ctx.stats = &collector;
-        ASSERT_TRUE(algorithm->Run(ctx, spec).ok());
-        const CpuStats cpu = collector.Finish().root.cpu;
-        const std::string run = std::string(name) +
+        JoinSpec run_spec = spec;
+        // delta = 1 inflates VVM's matrix charge so the small buffer
+        // splits it into several passes; results do not depend on delta.
+        if (c.multi_pass) run_spec.delta = 1.0;
+        ASSERT_TRUE(c.algorithm->Run(ctx, run_spec).ok());
+        const PhaseStats root = collector.Finish().root;
+        const std::string run = std::string(c.name) +
                                 (prune ? " pruned" : "") +
                                 (subset ? " (inner subset)" : "");
-        EXPECT_EQ(cpu.accumulations, expected) << run;
-        if (heap_offers < 0) heap_offers = cpu.heap_offers;
-        EXPECT_EQ(cpu.heap_offers, heap_offers) << run;
+        if (c.multi_pass) EXPECT_GE(root.Counter("passes"), 2) << run;
+        EXPECT_EQ(root.cpu.accumulations, expected) << run;
+        if (heap_offers < 0) heap_offers = root.cpu.heap_offers;
+        EXPECT_EQ(root.cpu.heap_offers, heap_offers) << run;
       }
     }
     EXPECT_GT(heap_offers, 0);

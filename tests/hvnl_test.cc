@@ -9,6 +9,7 @@ namespace textjoin {
 namespace {
 
 using testing_util::BruteForceJoin;
+using testing_util::DocumentNamedBy;
 using testing_util::MakeFixture;
 using testing_util::RandomCollection;
 
@@ -27,6 +28,36 @@ TEST(HvnlTest, MatchesBruteForce) {
   auto got = join.Run(f->Context(100), spec);
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(*got, BruteForceJoin(f->inner, f->outer, f->simctx, spec));
+}
+
+// Decode bounds a posting's document number only by kMaxDocId. An inner
+// inverted file naming documents beyond C1 — here one built over a
+// 60-document collection, joined with a 40-document C1 — is corruption:
+// HVNL fails closed with DATA_LOSS naming the document, rather than
+// returning matches that name it or, under cosine, reading C1's norms out
+// of range.
+TEST(HvnlTest, PostingDocumentBeyondInnerCollectionIsDataLoss) {
+  for (const bool cosine : {false, true}) {
+    SimulatedDisk disk(256);
+    SimilarityConfig config;
+    config.cosine_normalize = cosine;
+    auto f = MakeFixture(&disk, RandomCollection(&disk, "c1", 40, 6, 50, 111),
+                         RandomCollection(&disk, "c2", 25, 5, 50, 222),
+                         config);
+    const DocumentCollection wide =
+        RandomCollection(&disk, "wide", 60, 6, 50, 333);
+    auto wide_index = InvertedFile::Build(&disk, "wide.inv", wide);
+    ASSERT_TRUE(wide_index.ok());
+    JoinContext ctx = f->Context(100);
+    ctx.inner_index = &*wide_index;
+    HvnlJoin join;
+    auto r = join.Run(ctx, JoinSpec{});
+    const char* scoring = cosine ? "cosine" : "raw";
+    ASSERT_FALSE(r.ok()) << scoring;
+    EXPECT_EQ(r.status().code(), StatusCode::kDataLoss) << scoring;
+    EXPECT_GE(DocumentNamedBy(r.status()), 40) << r.status();
+    EXPECT_LT(DocumentNamedBy(r.status()), 60) << r.status();
+  }
 }
 
 TEST(HvnlTest, RequiresInnerIndex) {

@@ -239,29 +239,6 @@ TEST(GroupVarintFuzzTest, OverlongControlRunsAndSlackBitsAreDataLoss) {
 // ---------------------------------------------------------------------------
 // Raw kernel bit-identity across levels.
 
-TEST(KernelIdentityTest, ScaleCellsMatchesScalarBitForBit) {
-  Rng rng(505 + SeedOffset());
-  for (int64_t n : {int64_t{0}, int64_t{1}, int64_t{3}, int64_t{64},
-                    int64_t{1000}}) {
-    const auto cells = RandomBlockCells(std::max<int64_t>(n, 1), &rng);
-    const double w2 = 0.37 + 0.01 * static_cast<double>(rng.NextBounded(100));
-    const double factor = 1.0 / 3.0;
-    std::vector<double> ref(static_cast<size_t>(n), -1.0);
-    kernel::kScalarTable.scale_cells(cells.data(), n, w2, factor, ref.data());
-    for (kernel::Level level : kernel::AvailableLevels()) {
-      std::vector<double> out(static_cast<size_t>(n), -2.0);
-      kernel::TableFor(level).scale_cells(cells.data(), n, w2, factor,
-                                          out.data());
-      // Zero bytes are trivially equal (and memcmp's pointers would be
-      // the null data() of empty vectors).
-      if (n > 0) {
-        ASSERT_EQ(std::memcmp(out.data(), ref.data(), sizeof(double) * n), 0)
-            << kernel::LevelName(level) << " n " << n;
-      }
-    }
-  }
-}
-
 TEST(KernelIdentityTest, MergeLinearStepMeteringIdenticalAcrossLevels) {
   Rng rng(707 + SeedOffset());
   auto make_list = [&](int64_t n, uint32_t stride) {

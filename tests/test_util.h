@@ -135,6 +135,15 @@ struct JoinFixture {
   }
 };
 
+// The document number a posting-range DATA_LOSS names (CheckPostingDocs in
+// join/executor.h), or -1 when the message names none.
+inline int64_t DocumentNamedBy(const Status& status) {
+  const std::string prefix = "names document ";
+  const size_t at = status.message().find(prefix);
+  if (at == std::string::npos) return -1;
+  return std::stoll(status.message().substr(at + prefix.size()));
+}
+
 inline std::unique_ptr<JoinFixture> MakeFixture(Disk* disk,
                                                 DocumentCollection inner,
                                                 DocumentCollection outer,

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <utility>
+#include <vector>
 
 #include "common/random.h"
 #include "join/topk.h"
@@ -84,6 +87,30 @@ TEST(TopKTest, EqualScoreEvictionAtBoundary) {
   kept = acc.TakeSorted();
   ASSERT_EQ(kept.size(), 2u);
   EXPECT_EQ(kept[1], (Match{15, 3.0}));
+}
+
+// DrainPositive offers exactly the sums above 0, in ascending index order,
+// returns how many it offered, and leaves every slot +0.0 — whatever the
+// slot held, -0.0 and negative sums included.
+TEST(DrainPositiveTest, OffersPositiveSumsInOrderAndResets) {
+  std::vector<double> acc = {0.0, 2.5, -0.0, 0.0, 1e-300, -3.0, 7.0, 0.0};
+  std::vector<std::pair<size_t, double>> offered;
+  const int64_t offers =
+      DrainPositive(acc, [&](size_t i, double sum) {
+        offered.emplace_back(i, sum);
+      });
+  EXPECT_EQ(offers, 3);
+  const std::vector<std::pair<size_t, double>> expected = {
+      {1, 2.5}, {4, 1e-300}, {6, 7.0}};
+  EXPECT_EQ(offered, expected);
+  for (double a : acc) {
+    EXPECT_EQ(a, 0.0);
+    EXPECT_FALSE(std::signbit(a));
+  }
+
+  // A drained array drains to nothing; an empty one too.
+  EXPECT_EQ(DrainPositive(acc, [](size_t, double) { FAIL(); }), 0);
+  EXPECT_EQ(DrainPositive({}, [](size_t, double) { FAIL(); }), 0);
 }
 
 // Property sweep: TopKAccumulator agrees with sort-then-truncate for many

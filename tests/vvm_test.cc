@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "storage/disk_manager.h"
 #include "join/vvm.h"
 #include "test_util.h"
@@ -8,6 +10,7 @@ namespace textjoin {
 namespace {
 
 using testing_util::BruteForceJoin;
+using testing_util::DocumentNamedBy;
 using testing_util::MakeFixture;
 using testing_util::RandomCollection;
 
@@ -26,6 +29,44 @@ TEST(VvmTest, MatchesBruteForce) {
   auto got = join.Run(f->Context(100), spec);
   ASSERT_TRUE(got.ok()) << got.status();
   EXPECT_EQ(*got, BruteForceJoin(f->inner, f->outer, f->simctx, spec));
+}
+
+// Decode bounds a posting's document number only by kMaxDocId. An inverted
+// file naming documents beyond the collection it stands for — here one
+// built over a 60-document collection, standing for the 40-document C1 or
+// C2 — is corruption: VVM fails closed with DATA_LOSS naming the document,
+// on either side, with cosine on or off and with the pass-slice skip on
+// (C2 decoded block by block) or off (whole entries).
+TEST(VvmTest, PostingDocumentBeyondEitherCollectionIsDataLoss) {
+  for (const bool cosine : {false, true}) {
+    SimulatedDisk disk(256);
+    SimilarityConfig config;
+    config.cosine_normalize = cosine;
+    auto f = MakeFixture(&disk, RandomCollection(&disk, "c1", 40, 6, 50, 121),
+                         RandomCollection(&disk, "c2", 40, 5, 50, 232),
+                         config);
+    const DocumentCollection wide =
+        RandomCollection(&disk, "wide", 60, 6, 50, 343);
+    auto wide_index = InvertedFile::Build(&disk, "wide.inv", wide);
+    ASSERT_TRUE(wide_index.ok());
+    for (const bool outer_side : {false, true}) {
+      for (const bool prune : {false, true}) {
+        JoinContext ctx = f->Context(100);
+        (outer_side ? ctx.outer_index : ctx.inner_index) = &*wide_index;
+        JoinSpec spec;
+        spec.prune = prune;
+        VvmJoin join;
+        auto r = join.Run(ctx, spec);
+        const std::string run = std::string(outer_side ? "outer" : "inner") +
+                                (cosine ? ", cosine" : ", raw") +
+                                (prune ? ", pruned" : "");
+        ASSERT_FALSE(r.ok()) << run;
+        EXPECT_EQ(r.status().code(), StatusCode::kDataLoss) << run;
+        EXPECT_GE(DocumentNamedBy(r.status()), 40) << run << ": " << r.status();
+        EXPECT_LT(DocumentNamedBy(r.status()), 60) << run << ": " << r.status();
+      }
+    }
+  }
 }
 
 TEST(VvmTest, RequiresBothIndexes) {
