@@ -46,10 +46,8 @@ void ModelVsMeasured() {
   ctx.similarity = &simctx.value();
   ctx.sys = SystemParams{80, kPage, 5.0};
 
-  // The model describes the paper's executors, so they run unpruned.
   JoinSpec spec;
   spec.lambda = 10;
-  spec.prune = false;
 
   CostInputs in;
   in.c1 = StatisticsOf(*c1);

@@ -1,10 +1,9 @@
-// Wall-time trajectory of the dispatched hot-path kernels: every kernel
-// family (posting-block decode, term merge) timed at every dispatch level
-// compiled into this binary and usable on this CPU, against the scalar
-// varint decode as the pre-SIMD baseline. Reports ns/op and cells/sec per
-// (kernel, level) cell and verifies — before timing anything — that every
-// level produces bitwise identical output, so a throughput win can never
-// hide a numeric drift.
+// Wall-time trajectory of the dispatched kernel: group-varint posting-block
+// decode timed at every dispatch level compiled into this binary and
+// usable on this CPU, against the scalar varint decode as the pre-SIMD
+// baseline. Reports ns/op and cells/sec per (kernel, level) cell and
+// verifies — before timing anything — that every level produces bitwise
+// identical output, so a throughput win can never hide a numeric drift.
 //
 //   --smoke   CI-sized workload; additionally enforces the headline the
 //             tentpole must defend: group-varint decode through the best
@@ -155,39 +154,6 @@ void Main(bool smoke, bool json) {
     }
     if (!SameCells(got, cells)) Fatal("gv_decode output", k.name);
   }
-  const kernel::KernelTable& scalar = kernel::TableFor(kernel::Level::kScalar);
-  {
-    // Merge kernel: compare each level's steps and matches to scalar.
-    const int64_t nb = 1024;
-    std::vector<DCell> da, db;
-    for (int64_t i = 0; i < nb; ++i) {
-      da.push_back(DCell{static_cast<TermId>(2 * i), 3});
-      db.push_back(DCell{static_cast<TermId>(3 * i), 5});
-    }
-    std::vector<int32_t> rma(static_cast<size_t>(nb)),
-        rmb(static_cast<size_t>(nb)), gma(static_cast<size_t>(nb)),
-        gmb(static_cast<size_t>(nb));
-    kernel::MergeCursor rcur;
-    int64_t rnm = 0;
-    const int64_t rsteps =
-        scalar.merge_linear(da.data(), nb, db.data(), nb, &rcur,
-                            1ll << 60, rma.data(), rmb.data(), &rnm);
-    for (kernel::Level level : levels) {
-      const kernel::KernelTable& k = kernel::TableFor(level);
-      kernel::MergeCursor cur;
-      int64_t nm = 0;
-      const int64_t steps =
-          k.merge_linear(da.data(), nb, db.data(), nb, &cur, 1ll << 60,
-                         gma.data(), gmb.data(), &nm);
-      if (steps != rsteps || nm != rnm ||
-          std::memcmp(rma.data(), gma.data(),
-                      sizeof(int32_t) * static_cast<size_t>(rnm)) != 0 ||
-          std::memcmp(rmb.data(), gmb.data(),
-                      sizeof(int32_t) * static_cast<size_t>(rnm)) != 0) {
-        Fatal("merge_linear output", k.name);
-      }
-    }
-  }
 
   // ---- Timing. The baseline first: scalar varint block decode, the path
   // every pre-SIMD build ran.
@@ -217,56 +183,17 @@ void Main(bool smoke, bool json) {
   double best_gv_cells_per_sec = 0;
   for (kernel::Level level : levels) {
     const kernel::KernelTable& k = kernel::TableFor(level);
-    {
-      const double ns = MeasureNs([&] {
-        decode_list(gv, [&](const uint8_t* p, int64_t len, int64_t count) {
-          int64_t consumed = 0;
-          TEXTJOIN_CHECK_OK(
-              k.gv_decode(p, len, count, scratch.data(), &consumed));
-        });
+    const double ns = MeasureNs([&] {
+      decode_list(gv, [&](const uint8_t* p, int64_t len, int64_t count) {
+        int64_t consumed = 0;
+        TEXTJOIN_CHECK_OK(
+            k.gv_decode(p, len, count, scratch.data(), &consumed));
       });
-      const double cps = static_cast<double>(n) / (ns * 1e-9);
-      if (cps > best_gv_cells_per_sec) best_gv_cells_per_sec = cps;
-      results.push_back(Cell{"gv_decode", k.name,
-                             ns / static_cast<double>(num_blocks), cps});
-    }
-    {
-      // Two merge shapes: interleaved (term strides 2 and 3 — runs of 1-2
-      // cells, the common same-length-document case) and run-heavy (a
-      // sparse side against a dense one — long single-side runs, where
-      // the wide compare skips whole registers).
-      const int64_t nd = 2048;
-      std::vector<DCell> da, db, sparse;
-      for (int64_t i = 0; i < nd; ++i) {
-        da.push_back(DCell{static_cast<TermId>(2 * i), 3});
-        db.push_back(DCell{static_cast<TermId>(3 * i), 5});
-      }
-      const int64_t nsparse = 64;
-      for (int64_t i = 0; i < nsparse; ++i) {
-        sparse.push_back(DCell{static_cast<TermId>(i * 3 * (nd / nsparse)), 7});
-      }
-      std::vector<int32_t> ma(static_cast<size_t>(nd)),
-          mb(static_cast<size_t>(nd));
-      double steps_per_call = 0;
-      const double ns = MeasureNs([&] {
-        kernel::MergeCursor cur;
-        int64_t nm = 0;
-        steps_per_call = static_cast<double>(
-            k.merge_linear(da.data(), nd, db.data(), nd, &cur, 1ll << 60,
-                           ma.data(), mb.data(), &nm));
-      });
-      results.push_back(
-          Cell{"merge_linear", k.name, ns, steps_per_call / (ns * 1e-9)});
-      const double ns_runs = MeasureNs([&] {
-        kernel::MergeCursor cur;
-        int64_t nm = 0;
-        steps_per_call = static_cast<double>(
-            k.merge_linear(sparse.data(), nsparse, db.data(), nd, &cur,
-                           1ll << 60, ma.data(), mb.data(), &nm));
-      });
-      results.push_back(Cell{"merge_linear_runs", k.name, ns_runs,
-                             steps_per_call / (ns_runs * 1e-9)});
-    }
+    });
+    const double cps = static_cast<double>(n) / (ns * 1e-9);
+    if (cps > best_gv_cells_per_sec) best_gv_cells_per_sec = cps;
+    results.push_back(
+        Cell{"gv_decode", k.name, ns / static_cast<double>(num_blocks), cps});
   }
 
   const double speedup = varint_cells_per_sec > 0

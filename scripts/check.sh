@@ -13,8 +13,8 @@
 #                               a different deterministic fault universe
 #   scripts/check.sh stress     seed-sweepable suites (`ctest -L stress`)
 #                               under three seed offsets: randomized
-#                               cancellation points plus the pruning
-#                               bit-identity sweep
+#                               cancellation points plus the executor
+#                               exactness sweep
 #   scripts/check.sh recovery   crash-safety suite (`ctest -L recovery`)
 #                               under three seed offsets: a crash injected
 #                               after every WAL append and at every

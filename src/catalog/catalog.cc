@@ -1,6 +1,7 @@
 #include "catalog/catalog.h"
 
 #include <cstring>
+#include <string>
 
 #include "common/crc32.h"
 #include "storage/coding.h"
@@ -10,8 +11,20 @@ namespace textjoin {
 
 namespace {
 
-constexpr uint32_t kCollectionMagic = 0x544A4343;  // "TJCC"
-constexpr uint32_t kInvertedMagic = 0x544A4943;    // "TJIC"
+// The records carry no version field, so a layout change takes a new
+// magic: a record in an older layout then fails the magic check instead
+// of being misparsed. "TJCC" and "TJIC" were the layouts that still
+// carried per-document and posting max-weight summaries.
+constexpr uint32_t kCollectionMagic = 0x544A4332;  // "TJC2"
+constexpr uint32_t kInvertedMagic = 0x544A4932;    // "TJI2"
+
+// The fewest payload bytes one item of each counted list occupies. A
+// count read from a record is bounded by the bytes left over this size
+// before anything is reserved for it.
+constexpr size_t kDocumentBytes = 8 + 4 + 8;       // offset, terms, norm
+constexpr size_t kDocFreqBytes = 4 + 8;            // term, df
+constexpr size_t kEntryBytes = 4 + 8 + 8 + 8 + 4;  // term ... block count
+constexpr size_t kBlockBytes = 4 + 4 + 4 + 8;      // span, cells, offset
 
 void PutDouble(std::vector<uint8_t>* dst, double v) {
   uint64_t bits;
@@ -37,6 +50,12 @@ class PayloadReader {
   PayloadReader(const std::vector<uint8_t>& bytes) : bytes_(bytes) {}
 
   bool ok() const { return ok_; }
+
+  // Whether `count` items of at least `item_bytes` each fit in what is
+  // left of the payload.
+  bool Fits(uint64_t count, size_t item_bytes) const {
+    return count <= (bytes_.size() - pos_) / item_bytes;
+  }
 
   uint32_t U32() {
     if (!Require(4)) return 0;
@@ -126,6 +145,12 @@ Result<std::vector<uint8_t>> ReadRecord(Disk* disk,
   return payload;
 }
 
+Status CountOverrun(const std::string& file_name, const char* what,
+                    uint64_t count) {
+  return Status::DataLoss(file_name + ": " + what + " count " +
+                          std::to_string(count) + " overruns the record");
+}
+
 }  // namespace
 
 Status SaveCollectionCatalog(const DocumentCollection& collection,
@@ -141,12 +166,6 @@ Status SaveCollectionCatalog(const DocumentCollection& collection,
   }
   for (int64_t d = 0; d < n; ++d) {
     PutDouble(&payload, collection.raw_norm(static_cast<DocId>(d)));
-  }
-  for (int64_t d = 0; d < n; ++d) {
-    PutFixed32(&payload, static_cast<uint32_t>(
-                             collection.max_weight(static_cast<DocId>(d))));
-    PutFixed64(&payload, static_cast<uint64_t>(
-                             collection.weight_sum(static_cast<DocId>(d))));
   }
   PutFixed64(&payload, static_cast<uint64_t>(collection.doc_freq_map().size()));
   for (const auto& [term, df] : collection.doc_freq_map()) {
@@ -166,6 +185,9 @@ Result<DocumentCollection> OpenCollection(
   PayloadReader r(payload);
   std::string data_name = r.String();
   const uint64_t n = r.U64();
+  if (!r.Fits(n, kDocumentBytes)) {
+    return CountOverrun(catalog_file_name, "document", n);
+  }
   std::vector<DocumentCollection::DirectoryEntry> directory;
   directory.reserve(n);
   for (uint64_t i = 0; i < n && r.ok(); ++i) {
@@ -177,15 +199,10 @@ Result<DocumentCollection> OpenCollection(
   std::vector<double> norms;
   norms.reserve(n);
   for (uint64_t i = 0; i < n && r.ok(); ++i) norms.push_back(r.F64());
-  std::vector<int32_t> max_weights;
-  std::vector<int64_t> weight_sums;
-  max_weights.reserve(n);
-  weight_sums.reserve(n);
-  for (uint64_t i = 0; i < n && r.ok(); ++i) {
-    max_weights.push_back(static_cast<int32_t>(r.U32()));
-    weight_sums.push_back(static_cast<int64_t>(r.U64()));
-  }
   const uint64_t terms = r.U64();
+  if (!r.Fits(terms, kDocFreqBytes)) {
+    return CountOverrun(catalog_file_name, "term", terms);
+  }
   std::unordered_map<TermId, int64_t> doc_freq;
   doc_freq.reserve(terms * 2 + 1);
   for (uint64_t i = 0; i < terms && r.ok(); ++i) {
@@ -199,8 +216,7 @@ Result<DocumentCollection> OpenCollection(
   TEXTJOIN_ASSIGN_OR_RETURN(FileId data_file, disk->FindFile(data_name));
   return DocumentCollection::FromParts(
       disk, data_file, std::move(data_name), std::move(directory),
-      std::move(norms), std::move(max_weights), std::move(weight_sums),
-      std::move(doc_freq), total_cells);
+      std::move(norms), std::move(doc_freq), total_cells);
 }
 
 Status SaveInvertedFileCatalog(const InvertedFile& inverted,
@@ -216,14 +232,12 @@ Status SaveInvertedFileCatalog(const InvertedFile& inverted,
     PutFixed64(&payload, static_cast<uint64_t>(e.offset_bytes));
     PutFixed64(&payload, static_cast<uint64_t>(e.cell_count));
     PutFixed64(&payload, static_cast<uint64_t>(e.byte_length));
-    PutFixed32(&payload, FloatBits(e.max_weight));
     PutFixed32(&payload, static_cast<uint32_t>(e.blocks.size()));
     for (const auto& b : e.blocks) {
       PutFixed32(&payload, b.first_doc);
       PutFixed32(&payload, b.last_doc);
       PutFixed32(&payload, static_cast<uint32_t>(b.cell_count));
       PutFixed64(&payload, static_cast<uint64_t>(b.offset_bytes));
-      PutFixed32(&payload, FloatBits(b.max_weight));
     }
   }
   const BPlusTree& tree = inverted.btree();
@@ -252,6 +266,9 @@ Result<InvertedFile> OpenInvertedFile(Disk* disk,
   auto compression = static_cast<PostingCompression>(compression_byte);
   int64_t total_bytes = static_cast<int64_t>(r.U64());
   const uint64_t count = r.U64();
+  if (!r.Fits(count, kEntryBytes)) {
+    return CountOverrun(catalog_file_name, "entry", count);
+  }
   std::vector<InvertedFile::EntryMeta> entries;
   entries.reserve(count);
   for (uint64_t i = 0; i < count && r.ok(); ++i) {
@@ -260,8 +277,10 @@ Result<InvertedFile> OpenInvertedFile(Disk* disk,
     e.offset_bytes = static_cast<int64_t>(r.U64());
     e.cell_count = static_cast<int64_t>(r.U64());
     e.byte_length = static_cast<int64_t>(r.U64());
-    e.max_weight = FloatFromBits(r.U32());
     const uint32_t num_blocks = r.U32();
+    if (!r.Fits(num_blocks, kBlockBytes)) {
+      return CountOverrun(catalog_file_name, "block", num_blocks);
+    }
     e.blocks.reserve(num_blocks);
     for (uint32_t b = 0; b < num_blocks && r.ok(); ++b) {
       InvertedFile::PostingBlockMeta block;
@@ -269,7 +288,6 @@ Result<InvertedFile> OpenInvertedFile(Disk* disk,
       block.last_doc = r.U32();
       block.cell_count = static_cast<int32_t>(r.U32());
       block.offset_bytes = static_cast<int64_t>(r.U64());
-      block.max_weight = FloatFromBits(r.U32());
       e.blocks.push_back(block);
     }
     entries.push_back(std::move(e));

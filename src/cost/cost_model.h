@@ -48,12 +48,6 @@ struct CostInputs {
   // be read with random I/Os (Group 3). False when C2 is originally small
   // and scanned sequentially (Groups 1, 2, 4, 5).
   bool outer_reads_random = false;
-
-  // CPU-model knob (cost/cpu_model.h): whether the executors run with
-  // JoinSpec::prune (VVM's pass-slice block skip). Defaults to "off" so
-  // the unpruned CPU estimates are unchanged; the planner fills it from
-  // JoinSpec::prune. The I/O formulas ignore it.
-  bool prune = false;
 };
 
 // Cost of one algorithm under the two device models.

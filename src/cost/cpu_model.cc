@@ -99,25 +99,20 @@ CpuEstimate VvmCpuCost(const CostInputs& in) {
   CpuEstimate e;
   // Same pairwise accumulation volume as the other algorithms.
   e.accumulations = d.m * d.N1 * d.common;
-  // Both inverted files are decoded once per pass.
+  // C1 is decoded once per pass; the pass-slice skip decodes (and
+  // pass-filters) each C2 block only in the pass owning its document span.
   const double passes =
       static_cast<double>(std::max<int64_t>(1, VvmPasses(in)));
   const double cells1 = d.K1 * d.N1;
   const double cells2 =
       d.K2 * static_cast<double>(in.c2.num_documents);
-  e.cells_decoded = passes * (cells1 + cells2);
-  // Merge-walk visits: every pass checks all C2 cells against the pass
-  // filter, and each participating outer cell walks its shared C1 entry
-  // (L1 cells) in the one pass that owns it.
+  e.cells_decoded = cells2 + passes * cells1;
+  // Merge-walk visits: every C2 cell is checked against its pass's filter,
+  // and each participating outer cell walks its shared C1 entry (L1 cells)
+  // in the one pass that owns it.
   const double walk_visits = d.m * d.q * d.K2 * d.L1;
-  e.cell_compares = passes * cells2 + walk_visits;
+  e.cell_compares = cells2 + walk_visits;
   e.heap_offers = d.m * d.delta * d.N1;
-  if (in.prune) {
-    // Pass-slice skipping decodes (and pass-filters) each C2 block only in
-    // the pass owning its document span.
-    e.cells_decoded = cells2 + passes * cells1;
-    e.cell_compares = cells2 + walk_visits;
-  }
   return e;
 }
 

@@ -35,10 +35,9 @@ struct CpuEstimate {
 // forward batch size, every outer cell is indexed once and every inner
 // cell probes each of the ceil(m/X) batches,
 //   cell_compares = m*K2 + ceil(m/X)*N1*K1.
-// in.prune models JoinSpec::prune, which only VVM reads: the pass-slice
-// block skip decodes and pass-filters each C2 block only in the pass
-// owning its span. With in.prune false the VVM estimate is the unpruned
-// formula.
+// VVM's estimate models its pass-slice block skip (join/vvm.h): every
+// pass decodes C1's shared entries, but each C2 block is decoded and
+// pass-filtered about once, in the pass owning its span.
 CpuEstimate HhnlCpuCost(const CostInputs& in);
 CpuEstimate HvnlCpuCost(const CostInputs& in);
 CpuEstimate VvmCpuCost(const CostInputs& in);

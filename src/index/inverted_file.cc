@@ -60,8 +60,6 @@ void EncodePostings(const std::vector<ICell>& cells,
       PutVarint(out, cells[i].weight);
     }
     block.last_doc = cells[i].doc;
-    block.max_weight =
-        std::max(block.max_weight, static_cast<float>(cells[i].weight));
     ++block.cell_count;
     if (i + 1 == cells.size() || ((i + 1) % kPostingBlockCells) == 0) {
       // Group-varint is a whole-block format (control bytes up front), so
@@ -240,16 +238,11 @@ Result<InvertedFile> InvertedFile::Build(Disk* disk,
       return Status::ResourceExhausted(
           "inverted file exceeds 4-byte address space");
     }
-    float max_w = 0;
-    for (const PostingBlockMeta& b : blocks) {
-      max_w = std::max(max_w, b.max_weight);
-    }
     EntryMeta meta;
     meta.term = term;
     meta.offset_bytes = offset;
     meta.cell_count = static_cast<int64_t>(cells.size());
     meta.byte_length = static_cast<int64_t>(bytes.size());
-    meta.max_weight = max_w;
     meta.blocks = blocks;
     inv.entries_.push_back(std::move(meta));
     uint16_t df16 = cells.size() > 0xFFFF

@@ -1,10 +1,7 @@
 #ifndef TEXTJOIN_INDEX_INVERTED_FILE_H_
 #define TEXTJOIN_INDEX_INVERTED_FILE_H_
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
-#include <limits>
 #include <string>
 #include <vector>
 
@@ -45,35 +42,21 @@ enum class PostingCompression {
 // this many i-cells; delta encoding restarts at each block boundary (the
 // first document number of a block is absolute), so any block decodes
 // independently of its predecessors. 64 cells keep the per-block metadata
-// under 3% of an uncompressed entry while leaving enough cells per block
-// for the block-max bound to be meaningfully tighter than the entry max
-// (DESIGN.md section 10 discusses the choice).
+// under 3% of an uncompressed entry while leaving the span narrow enough
+// for VVM's pass-slice skip to pass over whole blocks (DESIGN.md section
+// 10 discusses the choice).
 inline constexpr int64_t kPostingBlockCells = 64;
-
-// Rounds a max-weight bound up to the nearest representable float. Weights
-// themselves are uint16 (exact in float), but idf-scaled bounds computed in
-// double must quantize TOWARD +inf: rounding a bound down would let a real
-// weight exceed it, so the stored value would no longer be a bound.
-inline float QuantizeMaxWeight(double w) {
-  float f = static_cast<float>(w);
-  if (static_cast<double>(f) < w) {
-    f = std::nextafter(f, std::numeric_limits<float>::infinity());
-  }
-  return f;
-}
 
 class InvertedFile {
  public:
-  // Block-max WAND style per-block summary: the document-number span the
-  // block covers and an upper bound on any cell weight inside it. The
-  // offset is relative to the entry's first byte, so a cursor can seek
+  // Per-block summary: the document-number span the block covers. The
+  // offset is relative to the entry's first byte, so a reader can seek
   // straight to a block and decode it in isolation.
   struct PostingBlockMeta {
     DocId first_doc = 0;
     DocId last_doc = 0;
     int32_t cell_count = 0;
     int64_t offset_bytes = 0;  // from the start of the entry
-    float max_weight = 0;
   };
 
   // Per-term catalog row (in-memory metadata mirroring the B+tree leaves).
@@ -82,11 +65,6 @@ class InvertedFile {
     int64_t offset_bytes = 0;
     int64_t cell_count = 0;   // == document frequency of the term
     int64_t byte_length = 0;  // encoded length on disk
-    // Largest cell weight in the list — an upper bound on any document's
-    // weight for this term. Part of the on-disk catalog; no executor reads
-    // it. Stored round-up-quantized: truncating fractional (idf-scaled)
-    // bounds toward zero would zero out sub-1.0 bounds.
-    float max_weight = 0;
     // Fixed-size block summaries (kPostingBlockCells cells each; the last
     // block may be short). Non-empty for every entry with at least one
     // cell.
@@ -218,7 +196,7 @@ Result<std::vector<ICell>> DecodeICells(const uint8_t* bytes,
 
 // Serializes one posting list in the chosen representation. Delta encoding
 // restarts every kPostingBlockCells cells; when `blocks` is non-null the
-// per-block summaries (spans, offsets, block maxima) are appended to it.
+// per-block summaries (spans, offsets) are appended to it.
 void EncodePostings(const std::vector<ICell>& cells,
                     PostingCompression compression,
                     std::vector<uint8_t>* out,

@@ -1,7 +1,5 @@
 #include "index/posting_cursor.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "storage/page_stream.h"
 
@@ -39,7 +37,6 @@ Result<const ICell*> BlockLazyEntry::Block(int64_t b, int64_t* newly_decoded) {
                                end_offset - bm.offset_bytes, bm.cell_count,
                                compression_, cells_.data() + begin));
     decoded_[static_cast<size_t>(b)] = 1;
-    ++blocks_decoded_;
     if (newly_decoded != nullptr) *newly_decoded = bm.cell_count;
   }
   return cells_.data() + begin;
@@ -76,7 +73,6 @@ Status PostingCursor::LoadCurrent() {
   int64_t n = 0;
   TEXTJOIN_ASSIGN_OR_RETURN(const ICell* cells, lazy_.Block(b, &n));
   cells_decoded_ += n;
-  if (n > 0) last_decoded_block_ = b;
   current_ = cells + (at_ - BlockLazyEntry::BlockCellBegin(b));
   return Status::OK();
 }
@@ -85,54 +81,6 @@ Status PostingCursor::Next() {
   if (done()) return Status::OutOfRange("posting cursor past end");
   ++at_;
   if (done()) return Status::OK();
-  return LoadCurrent();
-}
-
-Status PostingCursor::NextGEQ(DocId target) {
-  if (done()) return Status::OK();
-  if (current_->doc >= target) return Status::OK();
-  // Jump over whole blocks whose span ends before the target.
-  int64_t b = at_ / kPostingBlockCells;
-  int64_t jump_from = b;
-  while (b < lazy_.num_blocks() && lazy_.block(b).last_doc < target) ++b;
-  blocks_skipped_ += std::max<int64_t>(0, b - jump_from - 1);
-  if (b >= lazy_.num_blocks()) {
-    at_ = entry_->cell_count;  // exhausted
-    return Status::OK();
-  }
-  if (b != jump_from) at_ = BlockLazyEntry::BlockCellBegin(b);
-  // Binary search inside the (single) candidate block.
-  int64_t n = 0;
-  TEXTJOIN_ASSIGN_OR_RETURN(const ICell* cells, lazy_.Block(b, &n));
-  cells_decoded_ += n;
-  const int64_t begin = BlockLazyEntry::BlockCellBegin(b);
-  const int64_t count = lazy_.block(b).cell_count;
-  const ICell* lo = cells + (at_ - begin);
-  const ICell* hi = cells + count;
-  const ICell* it = std::lower_bound(
-      lo, hi, target,
-      [](const ICell& c, DocId d) { return c.doc < d; });
-  at_ = begin + (it - cells);
-  if (at_ >= entry_->cell_count) return Status::OK();
-  if (it == hi) {
-    // Target falls between this block and the next: step into the next
-    // block (its first cell is the answer, since its last_doc >= target).
-    return LoadCurrent();
-  }
-  current_ = it;
-  return Status::OK();
-}
-
-Status PostingCursor::SkipToBlock(int64_t b) {
-  if (b < at_ / kPostingBlockCells) {
-    return Status::InvalidArgument("posting cursor only moves forward");
-  }
-  if (b >= lazy_.num_blocks()) {
-    at_ = entry_->cell_count;
-    return Status::OK();
-  }
-  blocks_skipped_ += std::max<int64_t>(0, b - at_ / kPostingBlockCells - 1);
-  at_ = BlockLazyEntry::BlockCellBegin(b);
   return LoadCurrent();
 }
 

@@ -55,15 +55,12 @@ class BlockLazyEntry {
   // SIMD kernels) and filled in place per block — block decode after
   // construction never allocates.
   kernel::ICellBuffer cells_;
-  std::vector<char> decoded_;     // per-block flags
-  int64_t blocks_decoded_ = 0;
+  std::vector<char> decoded_;  // per-block flags
 };
 
-// Forward iteration over one entry's posting list with block-granular
-// skipping, backed by a metered positioned PageStream read of the entry's
-// byte span. NextGEQ(target) advances to the first cell with document
-// number >= target without decoding the blocks it jumps over — the
-// block-max WAND traversal primitive.
+// Forward iteration over one entry's posting list, backed by a metered
+// positioned PageStream read of the entry's byte span; each block is
+// decoded when the cursor first steps into it.
 class PostingCursor {
  public:
   // `entry_index` indexes InvertedFile::entries().
@@ -76,25 +73,9 @@ class PostingCursor {
   bool done() const { return at_ >= entry_->cell_count; }
   const ICell& current() const { return *current_; }
 
-  // Block summary of the cursor's current block.
-  int64_t current_block() const { return at_ / kPostingBlockCells; }
-  float current_block_max() const {
-    return entry_->blocks[static_cast<size_t>(current_block())].max_weight;
-  }
-
   Status Next();
 
-  // Advances to the first cell whose document number is >= target (no-op
-  // when already there). Whole blocks with last_doc < target are skipped
-  // undecoded.
-  Status NextGEQ(DocId target);
-
-  // Positions the cursor at the first cell of block `b` (must be >= the
-  // current block; the cursor only moves forward).
-  Status SkipToBlock(int64_t b);
-
-  // Traversal telemetry.
-  int64_t blocks_skipped() const { return blocks_skipped_; }
+  // Cells decoded so far (traversal telemetry).
   int64_t cells_decoded() const { return cells_decoded_; }
 
  private:
@@ -105,8 +86,6 @@ class PostingCursor {
   BlockLazyEntry lazy_;
   int64_t at_ = 0;                 // cell index
   const ICell* current_ = nullptr;
-  int64_t last_decoded_block_ = -1;
-  int64_t blocks_skipped_ = 0;
   int64_t cells_decoded_ = 0;
 };
 

@@ -28,7 +28,7 @@ struct CpuStats {
   int64_t bound_checks = 0;
   int64_t pairs_pruned = 0;
   // VVM posting blocks left undecoded because they hold no outer document
-  // of the current pass (work avoided, JoinSpec::prune).
+  // of the current pass (work avoided by the pass-slice skip, join/vvm.h).
   int64_t blocks_skipped = 0;
 
   CpuStats& operator+=(const CpuStats& o) {

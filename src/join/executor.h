@@ -29,13 +29,6 @@ struct JoinSpec {
   int64_t lambda = 20;
   SimilarityConfig similarity;
 
-  // Exact pruning, on by default. It switches VVM's pass-slice block skip
-  // (join/vvm.h), the only pruning left; HHNL scores its batch
-  // term-at-a-time and needs none (join/hhnl.h). Off runs the paper's
-  // three executors exactly. Pure CPU optimization — results and metered
-  // I/O are identical either way; only CpuStats changes.
-  bool prune = true;
-
   // Per-query lifecycle limits, forwarded into the QueryGovernor the
   // Database builds for this query (exec/governor.h). 0 = no limit /
   // inherit the session or DatabaseOptions default.

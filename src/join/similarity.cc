@@ -1,32 +1,9 @@
 #include "join/similarity.h"
 
-#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
-#include "kernel/dispatch.h"
-
 namespace textjoin {
-
-namespace {
-
-// Match-list scratch of the dispatched merge kernel, reused across calls
-// so the per-pair hot path stays allocation-free once warmed up. The
-// kernel reports matched index pairs; a match list can never be longer
-// than the shorter document.
-struct MergeScratch {
-  std::vector<int32_t> a, b;
-  void Ensure(size_t n) {
-    if (a.size() < n) {
-      a.resize(n);
-      b.resize(n);
-    }
-  }
-};
-thread_local MergeScratch g_merge_scratch;
-
-}  // namespace
 
 IdfWeights::IdfWeights(const DocumentCollection& c1,
                        const DocumentCollection& c2,
@@ -97,27 +74,25 @@ Result<SimilarityContext> SimilarityContext::Create(
 
 double WeightedDot(const Document& d1, const Document& d2,
                    const SimilarityContext& ctx) {
-  // The dispatched merge kernel finds the common terms; the contributions
-  // are then accumulated sequentially in ascending term order — the same
-  // products in the same order as the scalar two-pointer walk, so the
-  // result is bit-identical at every dispatch level.
+  // The paper's two-pointer merge on term number, contributions summed in
+  // ascending term order. It stays plain scalar code: vectorized run
+  // skipping lost to this predictable walk in measurement (DESIGN.md
+  // section 13).
   const auto& a = d1.cells();
   const auto& b = d2.cells();
-  const int64_t na = static_cast<int64_t>(a.size());
-  const int64_t nb = static_cast<int64_t>(b.size());
-  MergeScratch& scratch = g_merge_scratch;
-  scratch.Ensure(static_cast<size_t>(std::min(na, nb)));
-  kernel::MergeCursor cur;
-  int64_t nm = 0;
-  kernel::Active().merge_linear(a.data(), na, b.data(), nb, &cur,
-                                std::numeric_limits<int64_t>::max(),
-                                scratch.a.data(), scratch.b.data(), &nm);
   double acc = 0;
-  for (int64_t k = 0; k < nm; ++k) {
-    const DCell& ca = a[static_cast<size_t>(scratch.a[k])];
-    const DCell& cb = b[static_cast<size_t>(scratch.b[k])];
-    acc += static_cast<double>(ca.weight) * static_cast<double>(cb.weight) *
-           ctx.TermFactor(ca.term);
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i].term < b[j].term) {
+      ++i;
+    } else if (a[i].term > b[j].term) {
+      ++j;
+    } else {
+      acc += static_cast<double>(a[i].weight) *
+             static_cast<double>(b[j].weight) * ctx.TermFactor(a[i].term);
+      ++i;
+      ++j;
+    }
   }
   return acc;
 }

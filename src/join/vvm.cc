@@ -65,20 +65,6 @@ Result<JoinResult> VvmJoin::Run(const JoinContext& ctx,
     stats->SetCounter("passes", passes);
   }
 
-  // Decodes what is left of an entry. Every cell is checked once, when it
-  // is decoded: the scatter indexes index_of by C2 document numbers and
-  // the slab (and Finalize the norms) by C1's.
-  auto decode_all = [&](BlockLazyEntry& e, int64_t num_docs)
-      -> Result<const kernel::ICellBuffer*> {
-    int64_t newly = 0;
-    TEXTJOIN_ASSIGN_OR_RETURN(const kernel::ICellBuffer* cells, e.All(&newly));
-    if (newly > 0) {
-      TEXTJOIN_RETURN_IF_ERROR(CheckPostingDocs(*cells, num_docs));
-      if (cpu != nullptr) cpu->cells_decoded += newly;
-    }
-    return cells;
-  };
-
   JoinResult result;
   result.reserve(participating.size());
   // The pass's similarity matrix: one row of N1 sums per slot of the
@@ -91,8 +77,8 @@ Result<JoinResult> VvmJoin::Run(const JoinContext& ctx,
 
     // This pass's contiguous slice of the (ascending) participating outer
     // documents. Every outer cell outside [pass_first, pass_last] fails the
-    // pass filter, so with pruning on a C2 posting block whose document
-    // span misses the slice is passed over undecoded.
+    // pass filter, so a C2 posting block whose document span misses the
+    // slice is passed over undecoded.
     const int64_t slice_lo = std::min(pass * per_pass, m);
     const int64_t slots = std::min(slice_lo + per_pass, m) - slice_lo;
     const bool slice_empty = slots == 0;
@@ -114,9 +100,9 @@ Result<JoinResult> VvmJoin::Run(const JoinContext& ctx,
         if (cpu != nullptr) cpu->cells_decoded += scan2.NextCellCount();
         TEXTJOIN_RETURN_IF_ERROR(scan2.SkipEntry());
       } else {
-        // Both entries are read raw and decoded lazily, so with pruning on
-        // a C2 block outside this pass's slice is never decoded, nor is the
-        // C1 entry when no cell of the slice names its term.
+        // Both entries are read raw and decoded lazily: a C2 block outside
+        // this pass's slice is never decoded, nor is the C1 entry when no
+        // cell of the slice names its term.
         const InvertedFile::EntryMeta* meta1 = &scan1.NextMeta();
         TEXTJOIN_ASSIGN_OR_RETURN(std::vector<uint8_t> raw1,
                                   scan1.NextRaw());
@@ -127,71 +113,59 @@ Result<JoinResult> VvmJoin::Run(const JoinContext& ctx,
                                   scan2.NextRaw());
         BlockLazyEntry e2(meta2, ctx.outer_index->compression(),
                           std::move(raw2));
-        if (!spec.prune) {
-          // The paper's merge scan decodes both entries up front.
-          TEXTJOIN_RETURN_IF_ERROR(decode_all(e1, n1).status());
-          TEXTJOIN_RETURN_IF_ERROR(decode_all(e2, n2).status());
-        }
         const double factor = ctx.similarity->TermFactor(t1);
-        auto process_cell = [&](const ICell& oc) -> Status {
-          const int64_t slot = index_of[oc.doc] - slice_lo;
-          if (slot < 0 || slot >= slots) return Status::OK();
-          TEXTJOIN_ASSIGN_OR_RETURN(const kernel::ICellBuffer* cells1,
-                                    decode_all(e1, n1));
-          const double w2 = static_cast<double>(oc.weight);
-          double* row = acc.data() + slot * n1;
-          int64_t performed = 0;
-          for (const ICell& icell : *cells1) {
-            if (!inner_member.empty() && !inner_member[icell.doc]) continue;
-            row[icell.doc] += static_cast<double>(icell.weight) * w2 * factor;
-            ++performed;
+
+        // C2 traversal, block by block. Blocks whose document span misses
+        // [pass_first, pass_last] hold no cell of this pass's subcollection
+        // and are passed over undecoded, so a multi-pass run decodes (and
+        // pass-filters) a C2 block only in the passes whose slices its span
+        // overlaps. Every cell is checked once, when it is decoded: the
+        // scatter indexes index_of by C2 document numbers and the slab (and
+        // Finalize the norms) by C1's.
+        for (int64_t b2 = 0; b2 < e2.num_blocks(); ++b2) {
+          const auto& bm2 = e2.block(b2);
+          if (slice_empty || bm2.last_doc < pass_first ||
+              bm2.first_doc > pass_last) {
+            if (cpu != nullptr) ++cpu->blocks_skipped;
+            continue;
+          }
+          int64_t newly2 = 0;
+          TEXTJOIN_ASSIGN_OR_RETURN(const ICell* cells2,
+                                    e2.Block(b2, &newly2));
+          const std::span<const ICell> block2(
+              cells2, static_cast<size_t>(bm2.cell_count));
+          if (newly2 > 0) {
+            TEXTJOIN_RETURN_IF_ERROR(CheckPostingDocs(block2, n2));
           }
           if (cpu != nullptr) {
-            cpu->accumulations += performed;
-            // Every C1 cell is visited for this outer cell.
-            cpu->cell_compares += static_cast<int64_t>(cells1->size());
+            cpu->cells_decoded += newly2;
+            // Every decoded C2 cell is visited for the pass filter.
+            cpu->cell_compares += bm2.cell_count;
           }
-          return Status::OK();
-        };
-
-        // C2 traversal. With pruning on, blocks whose document span misses
-        // [pass_first, pass_last] hold no cell of this pass's subcollection
-        // — they are passed over undecoded, so a multi-pass run stops
-        // re-decoding (and re-filtering) the whole outer entry once per
-        // pass. With pruning off All() is already decoded.
-        if (spec.prune && e2.num_blocks() > 0) {
-          for (int64_t b2 = 0; b2 < e2.num_blocks(); ++b2) {
-            const auto& bm2 = e2.block(b2);
-            if (slice_empty || bm2.last_doc < pass_first ||
-                bm2.first_doc > pass_last) {
-              if (cpu != nullptr) ++cpu->blocks_skipped;
-              continue;
+          for (const ICell& oc : block2) {
+            const int64_t slot = index_of[oc.doc] - slice_lo;
+            if (slot < 0 || slot >= slots) continue;
+            int64_t newly1 = 0;
+            TEXTJOIN_ASSIGN_OR_RETURN(const kernel::ICellBuffer* cells1,
+                                      e1.All(&newly1));
+            if (newly1 > 0) {
+              TEXTJOIN_RETURN_IF_ERROR(CheckPostingDocs(*cells1, n1));
+              if (cpu != nullptr) cpu->cells_decoded += newly1;
             }
-            int64_t newly2 = 0;
-            TEXTJOIN_ASSIGN_OR_RETURN(const ICell* cells2,
-                                      e2.Block(b2, &newly2));
-            const std::span<const ICell> block2(
-                cells2, static_cast<size_t>(bm2.cell_count));
-            if (newly2 > 0) {
-              TEXTJOIN_RETURN_IF_ERROR(CheckPostingDocs(block2, n2));
+            const double w2 = static_cast<double>(oc.weight);
+            double* row = acc.data() + slot * n1;
+            int64_t performed = 0;
+            for (const ICell& icell : *cells1) {
+              if (!inner_member.empty() && !inner_member[icell.doc]) continue;
+              row[icell.doc] +=
+                  static_cast<double>(icell.weight) * w2 * factor;
+              ++performed;
             }
             if (cpu != nullptr) {
-              cpu->cells_decoded += newly2;
-              // Every decoded C2 cell is visited for the pass filter.
-              cpu->cell_compares += bm2.cell_count;
+              cpu->accumulations += performed;
+              // Every C1 cell is visited for this outer cell.
+              cpu->cell_compares += static_cast<int64_t>(cells1->size());
             }
-            for (const ICell& oc : block2) {
-              TEXTJOIN_RETURN_IF_ERROR(process_cell(oc));
-            }
-          }
-        } else {
-          TEXTJOIN_ASSIGN_OR_RETURN(const kernel::ICellBuffer* cells2,
-                                    decode_all(e2, n2));
-          if (cpu != nullptr) {
-            cpu->cell_compares += static_cast<int64_t>(cells2->size());
-          }
-          for (const ICell& oc : *cells2) {
-            TEXTJOIN_RETURN_IF_ERROR(process_cell(oc));
           }
         }
       }

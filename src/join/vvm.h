@@ -14,9 +14,9 @@ namespace textjoin {
 // the buffer provides M = B - ceil(J1) - ceil(J2). When SM > M, the outer
 // collection is divided into ceil(SM/M) subcollections and both inverted
 // files are rescanned once per subcollection (the paper's extension).
-// With JoinSpec::prune, a pass decodes and filters only the C2 posting
-// blocks whose document span overlaps its subcollection (the pass-slice
-// block skip); the result is identical.
+// Each pass still reads both files in full, but decodes and filters only
+// the C2 posting blocks whose document span overlaps its subcollection
+// (the pass-slice block skip).
 //
 // The matrix itself is a dense slab of doubles: one row of N1 sums per
 // outer document of a pass, slot-major, allocated once and drained row by

@@ -102,11 +102,8 @@ Status GvDecodeAvx2(const uint8_t* bytes, int64_t byte_length, int64_t count,
 
 }  // namespace
 
-// The merge stays the shared portable walk at this level too — see the
-// MergeLinearPortable comment in kernels_common.h for the measurements
-// behind that decision.
 const KernelTable kAvx2Table = {
-    "avx2", GvDecodeAvx2, internal::MergeLinearPortable,
+    "avx2", GvDecodeAvx2,
 };
 
 }  // namespace kernel

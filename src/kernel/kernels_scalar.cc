@@ -18,20 +18,8 @@ Status GvDecodeScalar(const uint8_t* bytes, int64_t byte_length, int64_t count,
 
 }  // namespace
 
-namespace internal {
-
-int64_t MergeLinearPortable(const DCell* a, int64_t na, const DCell* b,
-                            int64_t nb, MergeCursor* cur, int64_t max_steps,
-                            int32_t* match_a, int32_t* match_b,
-                            int64_t* num_matches) {
-  return MergeLinearScalarImpl(a, na, b, nb, cur, max_steps, match_a, match_b,
-                               num_matches);
-}
-
-}  // namespace internal
-
 const KernelTable kScalarTable = {
-    "scalar", GvDecodeScalar, internal::MergeLinearPortable,
+    "scalar", GvDecodeScalar,
 };
 
 }  // namespace kernel

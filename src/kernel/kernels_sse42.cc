@@ -88,11 +88,8 @@ Status GvDecodeSse42(const uint8_t* bytes, int64_t byte_length, int64_t count,
 
 }  // namespace
 
-// The merge stays the shared portable walk at this level too — see the
-// MergeLinearPortable comment in kernels_common.h for the measurements
-// behind that decision.
 const KernelTable kSse42Table = {
-    "sse42", GvDecodeSse42, internal::MergeLinearPortable,
+    "sse42", GvDecodeSse42,
 };
 
 }  // namespace kernel

@@ -38,9 +38,6 @@ Result<PlanChoice> JoinPlanner::Plan(const JoinContext& ctx,
     in.participating_outer = static_cast<int64_t>(spec.outer_subset.size());
     in.outer_reads_random = true;
   }
-  // CPU-model knob: the predicted CPU cost of VVM discounts the blocks its
-  // pass-slice skip leaves undecoded.
-  in.prune = spec.prune;
 
   PlanChoice choice;
   choice.inputs = in;

@@ -88,7 +88,7 @@ std::string JoinCacheKey(const std::string& inner, int64_t inner_epoch,
       .AddInt(spec.lambda)
       .AddBool(spec.similarity.cosine_normalize)
       .AddBool(spec.similarity.use_idf)
-      .AddBool(spec.prune)
+      .AddDouble(spec.delta)
       .AddDocs(spec.outer_subset)
       .AddDocs(spec.inner_subset);
   return b.Take();

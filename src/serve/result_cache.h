@@ -21,15 +21,16 @@ namespace textjoin {
 //
 // Cache-key soundness (DESIGN.md section 9): a key must pin down every
 // input that can change the RESULT BITS. The engine's invariants make the
-// key small: algorithm choice (agreement_test), pruning (pruning_test) and
+// key small: algorithm choice (agreement_test), VVM's pass count and
 // memory-budget degradation (governance_test) are all bit-identical, so
-// none of them needs to be keyed for correctness. A Database join keys
-// JoinSpec::prune anyway, because the cached PlanChoice (whose CPU
-// estimate depends on it) is returned with the rows. Deadlines and
-// admission outcomes are NOT keyed: they decide whether a query completes,
-// never what a completed query returns, and only fully completed queries
-// are inserted (a cancelled query inserts nothing — the poison-resistance
-// property governance_test checks).
+// none of them needs to be keyed for correctness. A Database join also
+// returns the cached PlanChoice with the rows, so it keys every JoinSpec
+// field the planner reads: JoinSpec::delta does not change a result bit,
+// but it sizes the plan's page charges for HVNL's accumulator and VVM's
+// similarity matrix. Deadlines and admission outcomes are NOT keyed: they
+// decide whether a query completes, never what a completed query returns,
+// and only fully completed queries are inserted (a cancelled query inserts
+// nothing — the poison-resistance property governance_test checks).
 
 // One cached, fully completed result.
 struct CachedResult {
@@ -66,9 +67,9 @@ std::string ServeQueryCacheKey(const std::string& collection, int64_t epoch,
                                const std::vector<DCell>& query_cells,
                                int64_t lambda, const SimilarityConfig& sim);
 
-// The key of one Database join: both collections + epochs and the
-// result-relevant JoinSpec fields (lambda, scoring, subsets), plus the
-// prune switch the cached plan depends on.
+// The key of one Database join: both collections + epochs, the
+// result-relevant JoinSpec fields (lambda, scoring, subsets) and delta,
+// whose exact bits the cached plan depends on.
 std::string JoinCacheKey(const std::string& inner, int64_t inner_epoch,
                          const std::string& outer, int64_t outer_epoch,
                          const JoinSpec& spec);

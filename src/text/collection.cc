@@ -63,16 +63,6 @@ double DocumentCollection::raw_norm(DocId doc) const {
   return norms_[doc];
 }
 
-int64_t DocumentCollection::max_weight(DocId doc) const {
-  TEXTJOIN_CHECK_LT(doc, max_weights_.size());
-  return max_weights_[doc];
-}
-
-int64_t DocumentCollection::weight_sum(DocId doc) const {
-  TEXTJOIN_CHECK_LT(doc, weight_sums_.size());
-  return weight_sums_[doc];
-}
-
 Result<Document> DocumentCollection::ReadDocument(DocId doc) const {
   if (doc >= directory_.size()) {
     return Status::OutOfRange("document " + std::to_string(doc) +
@@ -104,19 +94,14 @@ Result<Document> DocumentCollection::Scanner::Next() {
 DocumentCollection DocumentCollection::FromParts(
     Disk* disk, FileId file, std::string name,
     std::vector<DirectoryEntry> directory, std::vector<double> norms,
-    std::vector<int32_t> max_weights, std::vector<int64_t> weight_sums,
     std::unordered_map<TermId, int64_t> doc_freq, int64_t total_cells) {
   TEXTJOIN_CHECK_EQ(directory.size(), norms.size());
-  TEXTJOIN_CHECK_EQ(directory.size(), max_weights.size());
-  TEXTJOIN_CHECK_EQ(directory.size(), weight_sums.size());
   DocumentCollection c;
   c.disk_ = disk;
   c.file_ = file;
   c.name_ = std::move(name);
   c.directory_ = std::move(directory);
   c.norms_ = std::move(norms);
-  c.max_weights_ = std::move(max_weights);
-  c.weight_sums_ = std::move(weight_sums);
   c.doc_freq_ = std::move(doc_freq);
   c.total_cells_ = total_cells;
   return c;
@@ -140,14 +125,6 @@ Result<DocId> CollectionBuilder::AddDocument(const Document& doc) {
       offset, static_cast<int32_t>(doc.num_terms())});
   for (const DCell& c : doc.cells()) ++doc_freq_[c.term];
   norms_.push_back(doc.Norm());
-  int32_t max_w = 0;
-  int64_t sum_w = 0;
-  for (const DCell& c : doc.cells()) {
-    max_w = std::max(max_w, static_cast<int32_t>(c.weight));
-    sum_w += c.weight;
-  }
-  max_weights_.push_back(max_w);
-  weight_sums_.push_back(sum_w);
   total_cells_ += doc.num_terms();
   return static_cast<DocId>(directory_.size() - 1);
 }
@@ -162,8 +139,6 @@ Result<DocumentCollection> CollectionBuilder::Finish() {
   c.name_ = std::move(name_);
   c.directory_ = std::move(directory_);
   c.norms_ = std::move(norms_);
-  c.max_weights_ = std::move(max_weights_);
-  c.weight_sums_ = std::move(weight_sums_);
   c.doc_freq_ = std::move(doc_freq_);
   c.total_cells_ = total_cells_;
   return c;

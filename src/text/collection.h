@@ -84,13 +84,6 @@ class DocumentCollection {
   // norms of the documents [and] storing them"). Unmetered catalog access.
   double raw_norm(DocId doc) const;
 
-  // Precomputed per-document weight aggregates over the raw occurrence
-  // vector: the largest single term weight and the sum of all term
-  // weights. No join reads them; they stay in the catalog format until
-  // its next change drops them.
-  int64_t max_weight(DocId doc) const;
-  int64_t weight_sum(DocId doc) const;
-
   // Reads one document by number. Random access: the first page touched is
   // a positioned (random) read, pages after it sequential.
   Result<Document> ReadDocument(DocId doc) const;
@@ -120,7 +113,6 @@ class DocumentCollection {
   static DocumentCollection FromParts(
       Disk* disk, FileId file, std::string name,
       std::vector<DirectoryEntry> directory, std::vector<double> norms,
-      std::vector<int32_t> max_weights, std::vector<int64_t> weight_sums,
       std::unordered_map<TermId, int64_t> doc_freq, int64_t total_cells);
 
  private:
@@ -133,8 +125,6 @@ class DocumentCollection {
   std::string name_;
   std::vector<DirectoryEntry> directory_;
   std::vector<double> norms_;
-  std::vector<int32_t> max_weights_;
-  std::vector<int64_t> weight_sums_;
   std::unordered_map<TermId, int64_t> doc_freq_;
   int64_t total_cells_ = 0;
   mutable std::vector<TermId> distinct_terms_;  // lazy cache
@@ -160,8 +150,6 @@ class CollectionBuilder {
   PageStreamWriter writer_;
   std::vector<DocumentCollection::DirectoryEntry> directory_;
   std::vector<double> norms_;
-  std::vector<int32_t> max_weights_;
-  std::vector<int64_t> weight_sums_;
   std::unordered_map<TermId, int64_t> doc_freq_;
   int64_t total_cells_ = 0;
   bool finished_ = false;

@@ -1,8 +1,7 @@
-// Block-max posting traversal: block metadata correctness, the
-// PostingCursor skipping primitives, pruning-on/off bit-identity across
-// all executors (seed-swept via TEXTJOIN_STRESS_SEED, see scripts/check.sh
-// stress), and the float max-weight regression — sub-1.0 (idf-scaled)
-// bounds must survive quantization instead of truncating to zero.
+// Block-granular posting traversal: block metadata correctness, the
+// PostingCursor forward walk, exactness of every executor over blocked
+// postings (seed-swept via TEXTJOIN_STRESS_SEED, see scripts/check.sh
+// stress), and VVM's pass-slice block skip on a multi-pass shape.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +16,7 @@
 #include "join/hvnl.h"
 #include "join/vvm.h"
 #include "obs/query_stats.h"
+#include "sim/synthetic.h"
 #include "storage/disk_manager.h"
 #include "test_util.h"
 
@@ -47,9 +47,8 @@ InvertedFile BuildIndex(Disk* disk, const std::string& name,
 // Block metadata.
 
 // Every entry's block summaries must tile the cell list in
-// kPostingBlockCells strides with exact spans and maxima, and each block
-// must decode independently from its recorded offset (the delta restart
-// invariant).
+// kPostingBlockCells strides with exact spans, and each block must decode
+// independently from its recorded offset (the delta restart invariant).
 TEST(BlockMetadataTest, BlocksTileEntriesWithExactSummaries) {
   for (const PostingCompression comp :
        {PostingCompression::kNone, PostingCompression::kDeltaVarint,
@@ -75,7 +74,6 @@ TEST(BlockMetadataTest, BlocksTileEntriesWithExactSummaries) {
 
       int64_t at = 0;
       int64_t prev_offset = -1;
-      float entry_max = 0.0f;
       for (size_t b = 0; b < e.blocks.size(); ++b) {
         const auto& bm = e.blocks[b];
         ASSERT_GT(bm.cell_count, 0);
@@ -84,15 +82,6 @@ TEST(BlockMetadataTest, BlocksTileEntriesWithExactSummaries) {
         prev_offset = bm.offset_bytes;
         EXPECT_EQ(bm.first_doc, (*cells)[at].doc);
         EXPECT_EQ(bm.last_doc, (*cells)[at + bm.cell_count - 1].doc);
-        float block_max = 0.0f;
-        for (int32_t k = 0; k < bm.cell_count; ++k) {
-          block_max = std::max(
-              block_max, static_cast<float>((*cells)[at + k].weight));
-        }
-        // Integer cell weights are exact in float, so the recorded bound
-        // is the true maximum, not just an upper bound.
-        EXPECT_EQ(bm.max_weight, block_max);
-        entry_max = std::max(entry_max, bm.max_weight);
 
         // The block decodes in isolation from its recorded offset.
         const int64_t end = b + 1 < e.blocks.size()
@@ -112,15 +101,13 @@ TEST(BlockMetadataTest, BlocksTileEntriesWithExactSummaries) {
       }
       EXPECT_EQ(at, e.cell_count);
       EXPECT_EQ(e.blocks[0].offset_bytes, 0);
-      EXPECT_EQ(e.max_weight, entry_max);
     }
     EXPECT_TRUE(saw_multi_block);
   }
 }
 
-// The catalog round-trip must preserve the block summaries and the float
-// max weights bit for bit — a reopened index must skip exactly like the
-// one that was saved.
+// The catalog round-trip must preserve the block summaries exactly — a
+// reopened index must skip exactly like the one that was saved.
 TEST(BlockMetadataTest, CatalogRoundTripPreservesBlockSummaries) {
   SimulatedDisk disk(256);
   auto col = RandomCollection(&disk, "col", 200, 8, 30, 8);
@@ -138,14 +125,12 @@ TEST(BlockMetadataTest, CatalogRoundTripPreservesBlockSummaries) {
     EXPECT_EQ(a.offset_bytes, b.offset_bytes);
     EXPECT_EQ(a.cell_count, b.cell_count);
     EXPECT_EQ(a.byte_length, b.byte_length);
-    EXPECT_EQ(a.max_weight, b.max_weight);
     ASSERT_EQ(a.blocks.size(), b.blocks.size());
     for (size_t j = 0; j < a.blocks.size(); ++j) {
       EXPECT_EQ(a.blocks[j].first_doc, b.blocks[j].first_doc);
       EXPECT_EQ(a.blocks[j].last_doc, b.blocks[j].last_doc);
       EXPECT_EQ(a.blocks[j].cell_count, b.blocks[j].cell_count);
       EXPECT_EQ(a.blocks[j].offset_bytes, b.blocks[j].offset_bytes);
-      EXPECT_EQ(a.blocks[j].max_weight, b.blocks[j].max_weight);
     }
   }
 }
@@ -153,9 +138,9 @@ TEST(BlockMetadataTest, CatalogRoundTripPreservesBlockSummaries) {
 // ---------------------------------------------------------------------------
 // PostingCursor.
 
-// NextGEQ must agree with a lower_bound over the fully decoded entry for
-// every target, while skipping blocks undecoded on long jumps.
-TEST(PostingCursorTest, NextGEQAgreesWithFullDecode) {
+// A forward walk visits every cell of a multi-block entry in order,
+// decoding each block once.
+TEST(PostingCursorTest, ForwardWalkAgreesWithFullDecode) {
   for (const PostingCompression comp :
        {PostingCompression::kNone, PostingCompression::kDeltaVarint,
         PostingCompression::kGroupVarint}) {
@@ -163,7 +148,7 @@ TEST(PostingCursorTest, NextGEQAgreesWithFullDecode) {
     auto col = RandomCollection(&disk, "col", 200, 8, 30, 9);
     InvertedFile index = BuildIndex(&disk, "col.inv", col, comp);
 
-    // The longest entry: several blocks, so skipping has room to act.
+    // The longest entry: several blocks.
     int64_t longest = 0;
     for (int64_t i = 0; i < index.num_terms(); ++i) {
       if (index.entries()[i].cell_count >
@@ -176,66 +161,21 @@ TEST(PostingCursorTest, NextGEQAgreesWithFullDecode) {
     auto ref = index.FetchEntry(meta.term);
     ASSERT_TRUE(ref.ok());
 
-    // Plain forward walk visits every cell in order.
-    {
-      PostingCursor cur(&index, longest);
-      ASSERT_TRUE(cur.Init().ok());
-      for (const ICell& c : *ref) {
-        ASSERT_FALSE(cur.done());
-        EXPECT_EQ(cur.current().doc, c.doc);
-        EXPECT_EQ(cur.current().weight, c.weight);
-        ASSERT_TRUE(cur.Next().ok());
-      }
-      EXPECT_TRUE(cur.done());
-      EXPECT_EQ(cur.cells_decoded(), meta.cell_count);
-      EXPECT_EQ(cur.blocks_skipped(), 0);
-    }
-
-    // NextGEQ from a fresh cursor, for every target in the doc range plus
-    // one past the end.
-    for (DocId target = 0; target <= ref->back().doc + 1; target += 3) {
-      PostingCursor cur(&index, longest);
-      ASSERT_TRUE(cur.Init().ok());
-      ASSERT_TRUE(cur.NextGEQ(target).ok());
-      auto it = std::lower_bound(
-          ref->begin(), ref->end(), target,
-          [](const ICell& c, DocId d) { return c.doc < d; });
-      if (it == ref->end()) {
-        EXPECT_TRUE(cur.done()) << "target " << target;
-      } else {
-        ASSERT_FALSE(cur.done()) << "target " << target;
-        EXPECT_EQ(cur.current().doc, it->doc);
-        EXPECT_EQ(cur.current().weight, it->weight);
-      }
-    }
-
-    // A jump straight to the last block's span passes over the middle
-    // blocks without decoding them.
-    {
-      PostingCursor cur(&index, longest);
-      ASSERT_TRUE(cur.Init().ok());
-      ASSERT_TRUE(cur.NextGEQ(meta.blocks.back().first_doc).ok());
+    PostingCursor cur(&index, longest);
+    ASSERT_TRUE(cur.Init().ok());
+    for (const ICell& c : *ref) {
       ASSERT_FALSE(cur.done());
-      EXPECT_GE(cur.blocks_skipped(), 1);
-      EXPECT_LT(cur.cells_decoded(), meta.cell_count);
+      EXPECT_EQ(cur.current().doc, c.doc);
+      EXPECT_EQ(cur.current().weight, c.weight);
+      ASSERT_TRUE(cur.Next().ok());
     }
-
-    // SkipToBlock positions at the block's first cell.
-    {
-      const int64_t last = static_cast<int64_t>(meta.blocks.size()) - 1;
-      PostingCursor cur(&index, longest);
-      ASSERT_TRUE(cur.Init().ok());
-      ASSERT_TRUE(cur.SkipToBlock(last).ok());
-      ASSERT_FALSE(cur.done());
-      EXPECT_EQ(cur.current().doc, meta.blocks.back().first_doc);
-      EXPECT_EQ(cur.current_block(), last);
-      EXPECT_EQ(cur.current_block_max(), meta.blocks.back().max_weight);
-    }
+    EXPECT_TRUE(cur.done());
+    EXPECT_EQ(cur.cells_decoded(), meta.cell_count);
   }
 }
 
 // ---------------------------------------------------------------------------
-// Blocks-on/off bit-identity.
+// Exactness over blocked postings.
 
 struct Executors {
   HhnlJoin hhnl;
@@ -266,11 +206,10 @@ JoinContext MakeContext(SimulatedDisk* disk, const DocumentCollection& inner,
   return ctx;
 }
 
-// Block skipping is an optimization, never a semantics change: pruning on
-// and off must produce the same result — scores AND tie-breaks — across
-// executors, weighting schemes and every posting representation, and both
-// must match brute force.
-TEST(BlockMaxIdentityTest, BlocksOnOffBitIdenticalAcrossExecutors) {
+// Block-granular decode is an optimization, never a semantics change:
+// every executor must match brute force — scores AND tie-breaks — across
+// weighting schemes and every posting representation.
+TEST(BlockMaxIdentityTest, BlockedPostingsMatchBruteForceAcrossExecutors) {
   const uint64_t seed = SeedOffset();
   for (const PostingCompression comp :
        {PostingCompression::kNone, PostingCompression::kDeltaVarint,
@@ -294,79 +233,99 @@ TEST(BlockMaxIdentityTest, BlocksOnOffBitIdenticalAcrossExecutors) {
 
       Executors ex;
       for (auto [label, algo] : ex.all()) {
-        spec.prune = false;
-        auto off = algo->Run(ctx, spec);
-        ASSERT_TRUE(off.ok()) << label << ": " << off.status();
-        spec.prune = true;
-        auto on = algo->Run(ctx, spec);
-        ASSERT_TRUE(on.ok()) << label << ": " << on.status();
-        EXPECT_EQ(*off, expected) << label;
-        EXPECT_EQ(*on, *off) << label << ": blocks-on result differs";
+        auto got = algo->Run(ctx, spec);
+        ASSERT_TRUE(got.ok()) << label << ": " << got.status();
+        EXPECT_EQ(*got, expected) << label;
       }
     }
   }
 }
 
-// The multi-pass VVM shape: a small buffer forces several matrix passes,
-// and dense multi-block outer entries give pass-slice skipping real work.
-// The skips must show up in the counters without perturbing the result.
+DocumentCollection Synthetic(Disk* disk, const std::string& name,
+                             const SyntheticSpec& spec) {
+  auto c = GenerateCollection(disk, name, spec);
+  TEXTJOIN_CHECK_OK(c.status());
+  return std::move(c).value();
+}
+
+// Cells decoded plus cells compared by a multi-pass VVM run without the
+// pass-slice skip, computed from the two files: every pass decodes both
+// files whole, and every outer cell walks its shared C1 entry once. (That
+// path also filtered every shared C2 cell once per pass; leaving those
+// compares out makes a bound on this volume conservative.)
+int64_t NoSkipVolume(const InvertedFile& inner_index,
+                     const InvertedFile& outer_index, int64_t passes) {
+  int64_t cells = 0;
+  int64_t walk_visits = 0;
+  for (const auto& e : inner_index.entries()) cells += e.cell_count;
+  for (const auto& e2 : outer_index.entries()) {
+    cells += e2.cell_count;
+    const int64_t i1 = inner_index.FindEntry(e2.term);
+    if (i1 >= 0) {
+      walk_visits += e2.cell_count * inner_index.entries()[i1].cell_count;
+    }
+  }
+  return passes * cells + walk_visits;
+}
+
+// Multi-pass VVM shapes: a small buffer forces several matrix passes, and
+// dense multi-block outer entries give pass-slice skipping real work. The
+// skips must show up in the counters without perturbing the result.
+//
+// The second shape is a small C1 against a large, dense C2 (30 x 2000
+// documents, 22 terms each over a flattened 100-term vocabulary, 512-byte
+// pages): every C2 entry spans several blocks that each cover only a slice
+// of C2, and the 8-page buffer forces 10 to 24 passes. There the skip must
+// save at least a fifth of NoSkipVolume. On the first shape (3 passes,
+// blocks spanning most of C2) the walk visits dominate and the skip saves
+// under a tenth, so only exactness and engagement are checked there.
 TEST(BlockMaxIdentityTest, MultiPassVvmSkipsBlocksAndStaysExact) {
   const uint64_t seed = SeedOffset();
   for (const PostingCompression comp :
        {PostingCompression::kNone, PostingCompression::kDeltaVarint,
         PostingCompression::kGroupVarint}) {
-    SimulatedDisk disk(256);
-    // 20-term vocabulary: outer entries average 90 cells (several blocks).
-    auto inner = RandomCollection(&disk, "c1", 30, 6, 20, 31 + seed);
-    auto outer = RandomCollection(&disk, "c2", 300, 6, 20, 32 + seed);
-    InvertedFile inner_index = BuildIndex(&disk, "c1.inv", inner, comp);
-    InvertedFile outer_index = BuildIndex(&disk, "c2.inv", outer, comp);
-    auto simctx = SimilarityContext::Create(inner, outer, SimilarityConfig{});
-    ASSERT_TRUE(simctx.ok());
-    JoinContext ctx = MakeContext(&disk, inner, inner_index, outer,
-                                  outer_index, *simctx, /*buffer_pages=*/8);
-    JoinSpec spec;
-    spec.lambda = 4;
-    JoinResult expected = BruteForceJoin(inner, outer, *simctx, spec);
+    for (const bool dense : {false, true}) {
+      SimulatedDisk disk(dense ? 512 : 256);
+      // 20-term vocabulary: outer entries average 90 cells (several
+      // blocks).
+      auto inner =
+          dense ? Synthetic(&disk, "c1", {30, 22.0, 100, 0.5, 0, 15 + seed})
+                : RandomCollection(&disk, "c1", 30, 6, 20, 31 + seed);
+      auto outer =
+          dense ? Synthetic(&disk, "c2", {2000, 22.0, 100, 0.5, 0, 16 + seed})
+                : RandomCollection(&disk, "c2", 300, 6, 20, 32 + seed);
+      InvertedFile inner_index = BuildIndex(&disk, "c1.inv", inner, comp);
+      InvertedFile outer_index = BuildIndex(&disk, "c2.inv", outer, comp);
+      auto simctx =
+          SimilarityContext::Create(inner, outer, SimilarityConfig{});
+      ASSERT_TRUE(simctx.ok());
+      JoinContext ctx = MakeContext(&disk, inner, inner_index, outer,
+                                    outer_index, *simctx, /*buffer_pages=*/8);
+      JoinSpec spec;
+      spec.lambda = 4;
+      JoinResult expected = BruteForceJoin(inner, outer, *simctx, spec);
 
-    VvmJoin vvm;
-    spec.prune = false;
-    auto off = vvm.Run(ctx, spec);
-    ASSERT_TRUE(off.ok()) << off.status();
+      QueryStatsCollector collector(&disk);
+      ctx.stats = &collector;
+      VvmJoin vvm;
+      auto got = vvm.Run(ctx, spec);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(*got, expected);
+      const PhaseStats root = collector.Finish().root;
+      EXPECT_GT(root.cpu.blocks_skipped, 0)
+          << "pass-slice skipping never engaged";
+      const int64_t passes = root.Counter("passes");
+      ASSERT_GE(passes, 2);
+      if (!dense) continue;
 
-    QueryStatsCollector collector(&disk);
-    ctx.stats = &collector;
-    spec.prune = true;
-    auto on = vvm.Run(ctx, spec);
-    ASSERT_TRUE(on.ok()) << on.status();
-    EXPECT_EQ(*off, expected);
-    EXPECT_EQ(*on, *off) << "blocks-on result differs on the multi-pass run";
-    EXPECT_GT(collector.Finish().root.cpu.blocks_skipped, 0)
-        << "pass-slice skipping never engaged";
+      const int64_t no_skip = NoSkipVolume(inner_index, outer_index, passes);
+      const int64_t paid = root.cpu.cells_decoded + root.cpu.cell_compares;
+      EXPECT_LE(paid * 10, no_skip * 8)
+          << "decoded " << root.cpu.cells_decoded << " + compared "
+          << root.cpu.cell_compares << " of a no-skip " << no_skip
+          << " over " << passes << " passes";
+    }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Float max-weight regression (satellite: EntryMeta::max_weight was int32;
-// idf-scaled bounds are fractional and must not truncate to zero).
-
-TEST(MaxWeightRegressionTest, SubUnitBoundsSurviveQuantization) {
-  // Integer weights (the uint16 cell range) are exact in float.
-  EXPECT_EQ(QuantizeMaxWeight(3.0), 3.0f);
-  EXPECT_EQ(QuantizeMaxWeight(65535.0), 65535.0f);
-
-  // An idf-scaled bound like 0.37*0.69 must survive with its value, only
-  // ever rounding UP (a bound rounded down could be beaten by a real
-  // score).
-  const double bound = 0.37 * 0.69;
-  const float q = QuantizeMaxWeight(bound);
-  EXPECT_GT(q, 0.0f);
-  EXPECT_GE(static_cast<double>(q), bound);
-  EXPECT_LT(static_cast<double>(q) - bound, 1e-6);
-
-  // The regression: the old int32 field truncated any sub-1.0 bound to
-  // zero, so a zero "upper bound" hid real candidates from admission.
-  EXPECT_EQ(static_cast<float>(static_cast<int32_t>(bound)), 0.0f);
 }
 
 }  // namespace

@@ -50,7 +50,7 @@ TEST(CpuStatsTest, ArithmeticAndToString) {
 // The key structural property: all three algorithms perform EXACTLY the
 // same number of similarity accumulations — one per (pair, common term) —
 // and offer EXACTLY the same candidates — one per pair with a non-zero
-// score — whether JoinSpec::prune is on or off and in either HHNL order.
+// score — in either HHNL order.
 // With an inner subset only the eligible inner documents' pairs count.
 // The dense accumulators are drained and reused across VVM's passes (a
 // buffer forcing several) and across HVNL's outer documents (also in
@@ -101,26 +101,24 @@ TEST(CpuCountingTest, AccumulationsIdenticalAcrossAlgorithms) {
     }
 
     int64_t heap_offers = -1;
-    for (const bool prune : {false, true}) {
-      spec.prune = prune;
-      for (const Case& c : algorithms) {
-        QueryStatsCollector collector(&disk);
-        JoinContext ctx = f->Context(c.buffer_pages);
-        ctx.stats = &collector;
-        JoinSpec run_spec = spec;
-        // delta = 1 inflates VVM's matrix charge so the small buffer
-        // splits it into several passes; results do not depend on delta.
-        if (c.multi_pass) run_spec.delta = 1.0;
-        ASSERT_TRUE(c.algorithm->Run(ctx, run_spec).ok());
-        const PhaseStats root = collector.Finish().root;
-        const std::string run = std::string(c.name) +
-                                (prune ? " pruned" : "") +
-                                (subset ? " (inner subset)" : "");
-        if (c.multi_pass) EXPECT_GE(root.Counter("passes"), 2) << run;
-        EXPECT_EQ(root.cpu.accumulations, expected) << run;
-        if (heap_offers < 0) heap_offers = root.cpu.heap_offers;
-        EXPECT_EQ(root.cpu.heap_offers, heap_offers) << run;
+    for (const Case& c : algorithms) {
+      QueryStatsCollector collector(&disk);
+      JoinContext ctx = f->Context(c.buffer_pages);
+      ctx.stats = &collector;
+      JoinSpec run_spec = spec;
+      // delta = 1 inflates VVM's matrix charge so the small buffer splits
+      // it into several passes; results do not depend on delta.
+      if (c.multi_pass) run_spec.delta = 1.0;
+      ASSERT_TRUE(c.algorithm->Run(ctx, run_spec).ok());
+      const PhaseStats root = collector.Finish().root;
+      const std::string run =
+          std::string(c.name) + (subset ? " (inner subset)" : "");
+      if (c.multi_pass) {
+        EXPECT_GE(root.Counter("passes"), 2) << run;
       }
+      EXPECT_EQ(root.cpu.accumulations, expected) << run;
+      if (heap_offers < 0) heap_offers = root.cpu.heap_offers;
+      EXPECT_EQ(root.cpu.heap_offers, heap_offers) << run;
     }
     EXPECT_GT(heap_offers, 0);
   }
@@ -174,7 +172,14 @@ TEST(CpuCountingTest, HhnlIndexesAndProbesEachCellOncePerBatch) {
   }
 }
 
-TEST(CpuCountingTest, VvmDecodesBothFilesPerPass) {
+// Each VVM pass reads both inverted files in full but decodes only what
+// its slice of the outer documents needs. Per pass, exactly:
+//   * the cells of every C2 block whose span overlaps the slice, for terms
+//     both files hold;
+//   * the cells of every C1 entry whose term has a C2 cell in the slice;
+//   * the cells of every entry whose term the other file lacks (the scan
+//     passes over it whole).
+TEST(CpuCountingTest, VvmDecodesOnlyWhatEachPassNeeds) {
   SimulatedDisk disk(256);
   auto f = MakeFixture(&disk, RandomCollection(&disk, "c1", 50, 6, 60, 75),
                        RandomCollection(&disk, "c2", 35, 5, 60, 76));
@@ -185,22 +190,45 @@ TEST(CpuCountingTest, VvmDecodesBothFilesPerPass) {
   JoinContext ctx = f->Context(6);  // forces several passes
   ctx.stats = &collector;
   VvmJoin join;
-  int64_t passes = VvmJoin::Passes(ctx, spec);
+  const int64_t m = f->outer.num_documents();
+  const int64_t passes = std::min(VvmJoin::Passes(ctx, spec), m);
   ASSERT_GT(passes, 1);
-  // Pass-slice block skipping (JoinSpec::prune) leaves posting blocks
-  // undecoded, so full decode only holds without it.
-  spec.prune = false;
   ASSERT_TRUE(join.Run(ctx, spec).ok());
-  const CpuStats cpu = collector.Finish().root.cpu;
-  EXPECT_EQ(cpu.cells_decoded,
-            passes * (f->inner.total_cells() + f->outer.total_cells()));
+  const PhaseStats root = collector.Finish().root;
+  EXPECT_EQ(root.Counter("passes"), passes);
 
-  // With block skipping, decode work can only go down — never up.
-  QueryStatsCollector blocked(&disk);
-  ctx.stats = &blocked;
-  spec.prune = true;
-  ASSERT_TRUE(join.Run(ctx, spec).ok());
-  EXPECT_LE(blocked.Finish().root.cpu.cells_decoded, cpu.cells_decoded);
+  const InvertedFile& inv1 = f->inner_index;
+  const InvertedFile& inv2 = f->outer_index;
+  const int64_t per_pass = (m + passes - 1) / passes;
+  int64_t expected = 0;
+  for (int64_t pass = 0; pass < passes; ++pass) {
+    // Every outer document participates, so the slice is a document range.
+    const int64_t lo = pass * per_pass;
+    const int64_t hi = std::min(lo + per_pass, m) - 1;
+    for (const auto& e2 : inv2.entries()) {
+      const int64_t i1 = inv1.FindEntry(e2.term);
+      if (i1 < 0) {
+        expected += e2.cell_count;
+        continue;
+      }
+      for (const auto& block : e2.blocks) {
+        if (block.last_doc >= lo && block.first_doc <= hi) {
+          expected += block.cell_count;
+        }
+      }
+      auto cells2 = inv2.FetchEntry(e2.term);
+      ASSERT_TRUE(cells2.ok());
+      if (std::any_of(cells2->begin(), cells2->end(), [&](const ICell& c) {
+            return c.doc >= lo && c.doc <= hi;
+          })) {
+        expected += inv1.entries()[i1].cell_count;
+      }
+    }
+    for (const auto& e1 : inv1.entries()) {
+      if (inv2.FindEntry(e1.term) < 0) expected += e1.cell_count;
+    }
+  }
+  EXPECT_EQ(root.cpu.cells_decoded, expected);
 }
 
 TEST(CpuCountingTest, NullCpuPointerCountsNothing) {

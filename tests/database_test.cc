@@ -297,6 +297,48 @@ TEST(DatabaseTest, StaticJoinMatchesDirectPlannerBits) {
   EXPECT_EQ(chosen.size(), 3u) << "every executor should be covered";
 }
 
+// A cached Database join returns its PlanChoice with the rows, and the
+// plan's page charges depend on JoinSpec::delta (HVNL's accumulator, VVM's
+// similarity matrix), so delta is keyed: a join differing from a cached one
+// only in delta plans afresh, exactly as with the cache off.
+TEST(DatabaseTest, CachedJoinPlanFollowsDelta) {
+  auto plan_of = [](int64_t cache_entries,
+                    const std::vector<double>& deltas) -> PlanChoice {
+    Database db(256);
+    TEXTJOIN_CHECK_OK(
+        db.AddCollectionFromText("a", RandomTexts(40, 200, 400, 600, 11))
+            .status());
+    TEXTJOIN_CHECK_OK(
+        db.AddCollectionFromText("b", RandomTexts(400, 3, 8, 600, 12))
+            .status());
+    TEXTJOIN_CHECK_OK(db.BuildIndex("a").status());
+    TEXTJOIN_CHECK_OK(db.BuildIndex("b").status());
+    db.set_system_params(SystemParams{16, db.disk()->page_size(), 5.0});
+    db.result_cache()->set_capacity(cache_entries);
+    PlanChoice plan;
+    for (const double delta : deltas) {
+      JoinSpec spec;
+      spec.lambda = 3;
+      spec.delta = delta;
+      TEXTJOIN_CHECK_OK(db.Join("a", "b", spec, &plan).status());
+    }
+    return plan;
+  };
+  const PlanChoice cached = plan_of(16, {0.1, 1.0});
+  const PlanChoice fresh = plan_of(0, {1.0});
+  EXPECT_EQ(cached.inputs.query.delta, 1.0);
+  EXPECT_EQ(cached.inputs.query.delta, fresh.inputs.query.delta);
+  EXPECT_EQ(cached.algorithm, fresh.algorithm);
+  for (Algorithm a : {Algorithm::kHhnl, Algorithm::kHvnl, Algorithm::kVvm}) {
+    SCOPED_TRACE(AlgorithmName(a));
+    EXPECT_EQ(cached.costs.of(a).seq, fresh.costs.of(a).seq);
+    EXPECT_EQ(cached.costs.of(a).rand, fresh.costs.of(a).rand);
+  }
+  // The case is only meaningful if delta moves the plan's costs.
+  EXPECT_NE(plan_of(0, {0.1}).costs.of(Algorithm::kVvm).seq,
+            fresh.costs.of(Algorithm::kVvm).seq);
+}
+
 // A relation over every document of a registered collection, with rows in a
 // permuted document order so results must be mapped through the table.
 std::unique_ptr<Table> MakeDocTable(Database* db, const std::string& table,

@@ -237,68 +237,6 @@ TEST(GroupVarintFuzzTest, OverlongControlRunsAndSlackBitsAreDataLoss) {
 }
 
 // ---------------------------------------------------------------------------
-// Raw kernel bit-identity across levels.
-
-TEST(KernelIdentityTest, MergeLinearStepMeteringIdenticalAcrossLevels) {
-  Rng rng(707 + SeedOffset());
-  auto make_list = [&](int64_t n, uint32_t stride) {
-    std::vector<DCell> cells;
-    uint32_t t = static_cast<uint32_t>(rng.NextBounded(5));
-    for (int64_t i = 0; i < n; ++i) {
-      cells.push_back(DCell{t, static_cast<Weight>(1 + (i % 7))});
-      t += 1 + rng.NextBounded(stride);
-    }
-    return cells;
-  };
-  struct Shape {
-    int64_t na;
-    int64_t nb;
-    uint32_t stride;
-  };
-  for (const Shape shape : {Shape{40, 37, 2}, Shape{200, 5, 30},
-                            Shape{64, 64, 1}}) {
-    const int64_t na = shape.na;
-    const int64_t nb = shape.nb;
-    const auto a = make_list(na, shape.stride);
-    const auto b = make_list(nb, 2);
-    for (int64_t max_steps : {int64_t{1}, int64_t{7}, na + nb}) {
-      kernel::MergeCursor ref_cur;
-      std::vector<int32_t> ref_a(static_cast<size_t>(max_steps));
-      std::vector<int32_t> ref_b(static_cast<size_t>(max_steps));
-      int64_t ref_m = 0;
-      int64_t ref_steps = 0;
-      while (ref_cur.i < na && ref_cur.j < nb) {
-        int64_t m = 0;
-        ref_steps += kernel::kScalarTable.merge_linear(
-            a.data(), na, b.data(), nb, &ref_cur, max_steps, ref_a.data(),
-            ref_b.data(), &m);
-        ref_m += m;
-      }
-      for (kernel::Level level : kernel::AvailableLevels()) {
-        kernel::MergeCursor cur;
-        std::vector<int32_t> ma(static_cast<size_t>(max_steps));
-        std::vector<int32_t> mb(static_cast<size_t>(max_steps));
-        int64_t total_m = 0;
-        int64_t total_steps = 0;
-        while (cur.i < na && cur.j < nb) {
-          int64_t m = 0;
-          const int64_t steps = kernel::TableFor(level).merge_linear(
-              a.data(), na, b.data(), nb, &cur, max_steps, ma.data(),
-              mb.data(), &m);
-          ASSERT_LE(m, steps);
-          total_steps += steps;
-          total_m += m;
-        }
-        EXPECT_EQ(total_steps, ref_steps) << kernel::LevelName(level);
-        EXPECT_EQ(total_m, ref_m) << kernel::LevelName(level);
-        EXPECT_EQ(cur.i, ref_cur.i);
-        EXPECT_EQ(cur.j, ref_cur.j);
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // End-to-end bit-identity: whole joins at every dispatch level.
 
 InvertedFile BuildIndex(Disk* disk, const std::string& name,

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <string>
+#include <vector>
 
 #include "storage/disk_manager.h"
 #include "catalog/catalog.h"
@@ -255,11 +259,67 @@ TEST(CatalogTest, InvertedFileRoundTrip) {
   }
 }
 
+// Rewrites catalog record `from` as `to` after `patch` edits its magic and
+// payload. Record layout (catalog.cc WriteRecord): magic u32, payload
+// length u64, payload crc u32, payload. The CRC is recomputed, so the edit
+// reaches the decoder's semantic checks instead of the checksum.
+void RewriteRecord(
+    SimulatedDisk* disk, const std::string& from, const std::string& to,
+    const std::function<void(uint32_t*, std::vector<uint8_t>*)>& patch) {
+  auto file = disk->FindFile(from);
+  ASSERT_TRUE(file.ok());
+  PageStreamReader reader(disk, *file);
+  std::vector<uint8_t> header;
+  ASSERT_TRUE(reader.Read(0, 16, &header).ok());
+  uint32_t magic = GetFixed32(header.data());
+  const uint64_t len = GetFixed64(header.data() + 4);
+  std::vector<uint8_t> payload;
+  ASSERT_TRUE(reader.Read(16, static_cast<int64_t>(len), &payload).ok());
+  patch(&magic, &payload);
+
+  std::vector<uint8_t> patched_header;
+  PutFixed32(&patched_header, magic);
+  PutFixed64(&patched_header, payload.size());
+  PutFixed32(&patched_header, Crc32(payload.data(), payload.size()));
+  FileId patched = disk->CreateFile(to);
+  PageStreamWriter writer(disk, patched);
+  writer.Append(patched_header);
+  writer.Append(payload);
+  ASSERT_TRUE(writer.Finish().ok());
+}
+
+// Payload offsets. A collection record opens with its name (a fixed32-
+// length-prefixed string) and the document count. An inverted-file record
+// opens with two such strings (data file, btree file), the compression
+// byte, the total byte count and the entry count; each entry row is term
+// u32, offset u64, cell count u64, byte length u64 and its block count u32.
+size_t DocumentCountAt(const std::vector<uint8_t>& payload) {
+  return 4 + GetFixed32(payload.data());
+}
+size_t CompressionByteAt(const std::vector<uint8_t>& payload) {
+  size_t at = 4 + GetFixed32(payload.data());
+  return at + 4 + GetFixed32(payload.data() + at);
+}
+size_t EntryCountAt(const std::vector<uint8_t>& payload) {
+  return CompressionByteAt(payload) + 1 + 8;
+}
+constexpr size_t kEntryRowBytes = 4 + 8 + 8 + 8;  // before the block count
+
+// Overwrites the fixed-width value at `p` in place.
+void SetFixed32(uint8_t* p, uint32_t v) {
+  std::vector<uint8_t> bytes;
+  PutFixed32(&bytes, v);
+  std::copy(bytes.begin(), bytes.end(), p);
+}
+void SetFixed64(uint8_t* p, uint64_t v) {
+  std::vector<uint8_t> bytes;
+  PutFixed64(&bytes, v);
+  std::copy(bytes.begin(), bytes.end(), p);
+}
+
 // The catalog's compression byte is validated on open: a value past the
 // last known PostingCompression must be rejected as kDataLoss, not cast
-// into the enum and dispatched on. The record's CRC is recomputed after
-// the patch so the corruption reaches the semantic check, not the
-// checksum.
+// into the enum and dispatched on.
 TEST(CatalogTest, UnknownCompressionByteRejected) {
   SimulatedDisk disk(128);
   auto col = RandomCollection(&disk, "col", 10, 4, 20, 15);
@@ -268,34 +328,13 @@ TEST(CatalogTest, UnknownCompressionByteRejected) {
       InvertedFile::BuildOptions{PostingCompression::kGroupVarint});
   ASSERT_TRUE(inv.ok());
   ASSERT_TRUE(SaveInvertedFileCatalog(*inv, "col.inv.cat").ok());
-
-  // Record layout (catalog.cc WriteRecord): magic u32, payload length
-  // u64, payload crc u32, payload. The payload opens with two fixed32-
-  // length-prefixed strings (data file, btree file); the compression byte
-  // follows.
-  auto file = disk.FindFile("col.inv.cat");
-  ASSERT_TRUE(file.ok());
-  PageStreamReader reader(&disk, *file);
-  std::vector<uint8_t> header;
-  ASSERT_TRUE(reader.Read(0, 16, &header).ok());
-  const uint64_t len = GetFixed64(header.data() + 4);
-  std::vector<uint8_t> payload;
-  ASSERT_TRUE(reader.Read(16, static_cast<int64_t>(len), &payload).ok());
-  size_t at = 4 + GetFixed32(payload.data());
-  at += 4 + GetFixed32(payload.data() + at);
-  ASSERT_EQ(payload[at],
-            static_cast<uint8_t>(PostingCompression::kGroupVarint));
-  payload[at] = 0x7F;
-
-  std::vector<uint8_t> patched_header;
-  PutFixed32(&patched_header, GetFixed32(header.data()));
-  PutFixed64(&patched_header, len);
-  PutFixed32(&patched_header, Crc32(payload.data(), payload.size()));
-  FileId patched = disk.CreateFile("col.bad.cat");
-  PageStreamWriter writer(&disk, patched);
-  writer.Append(patched_header);
-  writer.Append(payload);
-  ASSERT_TRUE(writer.Finish().ok());
+  RewriteRecord(&disk, "col.inv.cat", "col.bad.cat",
+                [](uint32_t*, std::vector<uint8_t>* payload) {
+                  const size_t at = CompressionByteAt(*payload);
+                  ASSERT_EQ((*payload)[at], static_cast<uint8_t>(
+                                                PostingCompression::kGroupVarint));
+                  (*payload)[at] = 0x7F;
+                });
 
   auto reopened = OpenInvertedFile(&disk, "col.bad.cat");
   ASSERT_FALSE(reopened.ok());
@@ -303,6 +342,119 @@ TEST(CatalogTest, UnknownCompressionByteRejected) {
   EXPECT_NE(reopened.status().message().find("unknown compression code"),
             std::string::npos)
       << reopened.status();
+}
+
+// Each count a catalog decoder sizes a reservation by is bounded by the
+// payload bytes left: a CRC-valid record claiming more items than its
+// bytes can hold is DATA_LOSS naming the file, never an allocation failure.
+TEST(CatalogTest, OversizedCountsAreDataLoss) {
+  SimulatedDisk disk(128);
+  auto col = RandomCollection(&disk, "col", 10, 4, 20, 18);
+  auto inv = InvertedFile::Build(&disk, "col.inv", col);
+  ASSERT_TRUE(inv.ok());
+  ASSERT_TRUE(SaveCollectionCatalog(col, "col.cat").ok());
+  ASSERT_TRUE(SaveInvertedFileCatalog(*inv, "col.inv.cat").ok());
+  struct Case {
+    const char* what;
+    bool inverted;
+    size_t (*at)(const std::vector<uint8_t>&);
+    uint64_t count;  // the genuine value; block counts are 4 bytes wide
+  };
+  const Case cases[] = {
+      {"document", false, DocumentCountAt, 10},
+      // Past 10 documents of 12-byte directory row and 8-byte norm.
+      {"term", false,
+       [](const std::vector<uint8_t>& p) {
+         return DocumentCountAt(p) + 8 + 10 * 20;
+       },
+       col.doc_freq_map().size()},
+      {"entry", true, EntryCountAt, static_cast<uint64_t>(inv->num_terms())},
+      // The first entry's block count.
+      {"block", true,
+       [](const std::vector<uint8_t>& p) {
+         return EntryCountAt(p) + 8 + kEntryRowBytes;
+       },
+       inv->entries()[0].blocks.size()},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    const bool wide = std::string(c.what) != "block";
+    const std::string bad = std::string(c.what) + ".bad.cat";
+    RewriteRecord(&disk, c.inverted ? "col.inv.cat" : "col.cat", bad,
+                  [&](uint32_t*, std::vector<uint8_t>* payload) {
+                    uint8_t* p = payload->data() + c.at(*payload);
+                    if (wide) {
+                      ASSERT_EQ(GetFixed64(p), c.count);
+                      SetFixed64(p, uint64_t{1} << 40);
+                    } else {
+                      ASSERT_EQ(GetFixed32(p), c.count);
+                      SetFixed32(p, 0xFFFFFFFFu);
+                    }
+                  });
+    const Status status = c.inverted ? OpenInvertedFile(&disk, bad).status()
+                                     : OpenCollection(&disk, bad).status();
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
+    EXPECT_NE(status.message().find(bad), std::string::npos) << status;
+    EXPECT_NE(status.message().find(std::string(c.what) + " count"),
+              std::string::npos)
+        << status;
+  }
+}
+
+// The layout without max-weight summaries took new magics. A record in the
+// previous layout, under the previous magic ("TJCC" / "TJIC"), is rejected
+// on the magic check instead of being misparsed.
+TEST(CatalogTest, PreviousLayoutMagicRejected) {
+  SimulatedDisk disk(128);
+  auto col = RandomCollection(&disk, "col", 10, 4, 20, 20);
+  auto inv = InvertedFile::Build(&disk, "col.inv", col);
+  ASSERT_TRUE(inv.ok());
+  ASSERT_TRUE(SaveCollectionCatalog(col, "col.cat").ok());
+  ASSERT_TRUE(SaveInvertedFileCatalog(*inv, "col.inv.cat").ok());
+  const std::vector<uint8_t> zeros(12, 0);
+
+  // The previous collection layout: a u32 max weight and a u64 weight sum
+  // per document after the norms.
+  RewriteRecord(&disk, "col.cat", "col.old.cat",
+                [&](uint32_t* magic, std::vector<uint8_t>* payload) {
+                  *magic = 0x544A4343;  // "TJCC"
+                  const size_t at = DocumentCountAt(*payload) + 8 + 10 * 20;
+                  for (int d = 0; d < 10; ++d) {
+                    payload->insert(payload->begin() + at, zeros.begin(),
+                                    zeros.end());
+                  }
+                });
+  auto reopened = OpenCollection(&disk, "col.old.cat");
+  ASSERT_FALSE(reopened.ok());
+  EXPECT_NE(reopened.status().message().find("wrong magic"),
+            std::string::npos)
+      << reopened.status();
+
+  // The previous inverted-file layout: a float max weight after each
+  // entry row's byte length and after each block row.
+  RewriteRecord(&disk, "col.inv.cat", "col.inv.old.cat",
+                [&](uint32_t* magic, std::vector<uint8_t>* payload) {
+                  *magic = 0x544A4943;  // "TJIC"
+                  size_t at = EntryCountAt(*payload) + 8;
+                  for (const auto& e : inv->entries()) {
+                    at += kEntryRowBytes;
+                    payload->insert(payload->begin() + at, zeros.begin(),
+                                    zeros.begin() + 4);
+                    at += 4 + 4;
+                    for (size_t b = 0; b < e.blocks.size(); ++b) {
+                      at += 4 + 4 + 4 + 8;
+                      payload->insert(payload->begin() + at, zeros.begin(),
+                                      zeros.begin() + 4);
+                      at += 4;
+                    }
+                  }
+                });
+  auto reopened_inv = OpenInvertedFile(&disk, "col.inv.old.cat");
+  ASSERT_FALSE(reopened_inv.ok());
+  EXPECT_NE(reopened_inv.status().message().find("wrong magic"),
+            std::string::npos)
+      << reopened_inv.status();
 }
 
 // The full story: build, catalog, snapshot to a real file, reload in a

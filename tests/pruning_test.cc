@@ -15,14 +15,13 @@ using testing_util::BruteForceJoin;
 using testing_util::MakeFixture;
 using testing_util::RandomCollection;
 
-// Exactness is JoinSpec::prune's hard contract (today it switches VVM's
-// pass-slice block skip): with it on, every executor must return
-// BIT-identical results — scores compared with ==, including tie-breaking
-// at the heap boundary — to the unpruned run and to the brute-force
-// reference. The sweep below drives that contract across the three
-// algorithms (plus HHNL's backward order), the weighting configurations and
-// several seeds; `ctest -L stress` re-runs it under TEXTJOIN_STRESS_SEED
-// offsets.
+// Exactness is the executors' hard contract, VVM's pass-slice block skip
+// included: every executor must return BIT-identical results — scores
+// compared with ==, including tie-breaking at the heap boundary — to the
+// brute-force reference. The sweep below drives that contract across the
+// three algorithms (plus HHNL's backward order), the weighting
+// configurations and several seeds; `ctest -L stress` re-runs it under
+// TEXTJOIN_STRESS_SEED offsets.
 
 uint64_t SeedOffset() {
   const char* s = std::getenv("TEXTJOIN_STRESS_SEED");
@@ -67,7 +66,7 @@ Result<JoinResult> RunOne(int executor, const JoinContext& ctx,
 constexpr const char* kExecutorNames[] = {"HHNL", "HHNL backward", "HVNL",
                                           "VVM"};
 
-TEST(PruningSweepTest, PrunedRunsAreBitIdentical) {
+TEST(ExactnessSweepTest, EveryExecutorMatchesBruteForce) {
   const uint64_t base = SeedOffset();
   for (uint64_t round = 0; round < 3; ++round) {
     const uint64_t seed = base * 1000 + round * 17 + 1;
@@ -88,17 +87,10 @@ TEST(PruningSweepTest, PrunedRunsAreBitIdentical) {
 
       JoinContext ctx = f->Context(60);
       for (int executor = 0; executor < 4; ++executor) {
-        spec.prune = true;
-        auto pruned = RunOne(executor, ctx, spec);
-        ASSERT_TRUE(pruned.ok())
-            << kExecutorNames[executor] << "/" << v.name << ": "
-            << pruned.status();
-        spec.prune = false;
-        auto plain = RunOne(executor, ctx, spec);
-        ASSERT_TRUE(plain.ok());
-        EXPECT_EQ(*pruned, *plain)
-            << kExecutorNames[executor] << "/" << v.name << " seed " << seed;
-        EXPECT_EQ(*pruned, expected)
+        auto got = RunOne(executor, ctx, spec);
+        ASSERT_TRUE(got.ok()) << kExecutorNames[executor] << "/" << v.name
+                              << ": " << got.status();
+        EXPECT_EQ(*got, expected)
             << kExecutorNames[executor] << "/" << v.name << " seed " << seed;
       }
     }

@@ -71,7 +71,7 @@ TEST(TopKTest, TakeSortedResets) {
 // Tie-breaking at the heap boundary: with equal scores the smaller
 // document number wins, so an equal-score candidate with a LARGER doc than
 // the boundary match must be rejected, and one with a smaller doc must
-// evict it. The pruning layer leans on exactly this behavior.
+// evict it. Bit-identity across the executors leans on exactly this.
 TEST(TopKTest, EqualScoreEvictionAtBoundary) {
   TopKAccumulator acc(2);
   acc.Add(10, 5.0);

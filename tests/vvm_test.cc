@@ -35,8 +35,7 @@ TEST(VvmTest, MatchesBruteForce) {
 // file naming documents beyond the collection it stands for — here one
 // built over a 60-document collection, standing for the 40-document C1 or
 // C2 — is corruption: VVM fails closed with DATA_LOSS naming the document,
-// on either side, with cosine on or off and with the pass-slice skip on
-// (C2 decoded block by block) or off (whole entries).
+// on either side, with cosine on or off.
 TEST(VvmTest, PostingDocumentBeyondEitherCollectionIsDataLoss) {
   for (const bool cosine : {false, true}) {
     SimulatedDisk disk(256);
@@ -50,21 +49,17 @@ TEST(VvmTest, PostingDocumentBeyondEitherCollectionIsDataLoss) {
     auto wide_index = InvertedFile::Build(&disk, "wide.inv", wide);
     ASSERT_TRUE(wide_index.ok());
     for (const bool outer_side : {false, true}) {
-      for (const bool prune : {false, true}) {
-        JoinContext ctx = f->Context(100);
-        (outer_side ? ctx.outer_index : ctx.inner_index) = &*wide_index;
-        JoinSpec spec;
-        spec.prune = prune;
-        VvmJoin join;
-        auto r = join.Run(ctx, spec);
-        const std::string run = std::string(outer_side ? "outer" : "inner") +
-                                (cosine ? ", cosine" : ", raw") +
-                                (prune ? ", pruned" : "");
-        ASSERT_FALSE(r.ok()) << run;
-        EXPECT_EQ(r.status().code(), StatusCode::kDataLoss) << run;
-        EXPECT_GE(DocumentNamedBy(r.status()), 40) << run << ": " << r.status();
-        EXPECT_LT(DocumentNamedBy(r.status()), 60) << run << ": " << r.status();
-      }
+      JoinContext ctx = f->Context(100);
+      (outer_side ? ctx.outer_index : ctx.inner_index) = &*wide_index;
+      JoinSpec spec;
+      VvmJoin join;
+      auto r = join.Run(ctx, spec);
+      const std::string run = std::string(outer_side ? "outer" : "inner") +
+                              (cosine ? ", cosine" : ", raw");
+      ASSERT_FALSE(r.ok()) << run;
+      EXPECT_EQ(r.status().code(), StatusCode::kDataLoss) << run;
+      EXPECT_GE(DocumentNamedBy(r.status()), 40) << run << ": " << r.status();
+      EXPECT_LT(DocumentNamedBy(r.status()), 60) << run << ": " << r.status();
     }
   }
 }
