@@ -3,16 +3,18 @@
 // rates. Each load level submits the same seeded workload — a Zipf-skewed
 // mix over a pool of distinct query vectors, so repeats hit the
 // ResultCache — and reports completed QPS, shed fraction, cache hit rate
-// and the p50/p99/p999 latency tail. Because time is simulated, every
-// number is deterministic: the tail shows exactly when the admission
-// queue, the queue timeout and the per-tenant quotas start to bite.
+// and the latency tail in simulated ms (p50/p90/p99/p999; a percentile
+// with fewer than ten samples beyond it prints as "-", since it would be
+// the max or next to it). Because time is simulated, every number is
+// deterministic: the tail shows exactly when the admission queue, the
+// queue timeout and the per-tenant quotas start to bite.
 //
 // A second profile serves the same load UNDER CHURN: the collection is
 // dynamic, a fraction of arrivals are inserts/deletes, and a compaction
 // fires every K writes — once as a background sliced job and once
 // foreground (synchronous at arrival). The two rows isolate what
-// backgrounding buys: the foreground row's p99/p999 and max latency
-// absorb the whole rewrite as a stall, the background row's do not.
+// backgrounding buys: the foreground row's tail and max latency absorb
+// the whole rewrite as a stall, the background row's do not.
 //
 //   bench_serving [--smoke]
 //
@@ -76,11 +78,33 @@ std::vector<DCell> SampleQueryCells(Rng* rng, const ZipfSampler& terms) {
   return cells;
 }
 
-double Percentile(std::vector<double> sorted, double q) {
-  if (sorted.empty()) return 0;
-  size_t idx = static_cast<size_t>(q * static_cast<double>(sorted.size()));
-  if (idx >= sorted.size()) idx = sorted.size() - 1;
-  return sorted[idx];
+// The q-quantile of ascending `sorted`, formatted, or "-" when fewer than
+// ten samples lie beyond it: a p999 of a few hundred samples is the max.
+std::string Percentile(const std::vector<double>& sorted, double q) {
+  const size_t idx =
+      static_cast<size_t>(q * static_cast<double>(sorted.size()));
+  if (idx + 10 >= sorted.size()) return "-";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.2f", sorted[idx]);
+  return buf;
+}
+
+// The latency columns both tables print, in simulated ms.
+constexpr struct {
+  const char* name;
+  double q;
+} kQuantiles[] = {{"p50", 0.50}, {"p90", 0.90}, {"p99", 0.99},
+                  {"p999", 0.999}};
+
+void PrintLatencyHeader() {
+  for (const auto& column : kQuantiles) std::printf(" %8s", column.name);
+}
+
+void PrintLatencies(const std::vector<double>& sorted) {
+  std::printf(" %6zu", sorted.size());
+  for (const auto& column : kQuantiles) {
+    std::printf(" %8s", Percentile(sorted, column.q).c_str());
+  }
 }
 
 int RunBench(const BenchConfig& config) {
@@ -114,9 +138,12 @@ int RunBench(const BenchConfig& config) {
       static_cast<long long>(config.num_documents),
       static_cast<long long>(config.num_queries),
       static_cast<long long>(config.query_pool));
-  std::printf("%10s %10s %6s %6s %6s %9s %9s %9s %9s\n", "offered", "done",
-              "shed%", "hit%", "shr%", "p50(ms)", "p99(ms)", "p999(ms)",
-              "maxq(ms)");
+  std::printf("latencies in simulated ms over n completed queries; \"-\" = "
+              "fewer than 10 samples beyond\n");
+  std::printf("%10s %10s %6s %6s %6s %6s", "offered", "done", "shed%",
+              "hit%", "shr%", "n");
+  PrintLatencyHeader();
+  std::printf(" %8s\n", "maxq");
 
   for (double rate : config.rates_qps) {
     ServeOptions options;
@@ -179,9 +206,8 @@ int RunBench(const BenchConfig& config) {
     const double done_qps =
         span_s > 0 ? static_cast<double>(completed) / span_s : 0;
     const double n = static_cast<double>(records->size());
-    std::printf("%7.0fqps %7.0fqps %5.1f%% %5.1f%% %5.1f%% %9.2f %9.2f "
-                "%9.2f %9.2f\n",
-                rate, done_qps, 100.0 * static_cast<double>(shed) / n,
+    std::printf("%7.0fqps %7.0fqps %5.1f%% %5.1f%% %5.1f%%", rate, done_qps,
+                100.0 * static_cast<double>(shed) / n,
                 completed > 0
                     ? 100.0 * static_cast<double>(hits) /
                           static_cast<double>(completed)
@@ -189,12 +215,12 @@ int RunBench(const BenchConfig& config) {
                 shared + fetched > 0
                     ? 100.0 * static_cast<double>(shared) /
                           static_cast<double>(shared + fetched)
-                    : 0.0,
-                Percentile(latencies, 0.50), Percentile(latencies, 0.99),
-                Percentile(latencies, 0.999), max_queue_wait);
+                    : 0.0);
+    PrintLatencies(latencies);
+    std::printf(" %8.2f\n", max_queue_wait);
   }
   std::printf(
-      "\nshed%% and the p99/p999 tail grow with offered load as the\n"
+      "\nshed%% and the latency tail grow with offered load as the\n"
       "admission queue saturates; hit%% holds (the cache keys on the query\n"
       "vector, not on load), pulling p50 down toward the cached-reply "
       "cost.\n");
@@ -212,9 +238,12 @@ int RunChurnBench(const BenchConfig& config) {
       "every %lld writes\n\n",
       config.churn_rate_qps, 100.0 * config.churn_write_frac,
       static_cast<long long>(config.churn_compact_every));
-  std::printf("%11s %10s %7s %8s %9s %9s %9s %9s\n", "compaction", "done",
-              "writes", "compacts", "p50(ms)", "p99(ms)", "p999(ms)",
-              "max(ms)");
+  std::printf("latencies in simulated ms over n completed queries; \"-\" = "
+              "fewer than 10 samples beyond\n");
+  std::printf("%11s %10s %7s %8s %6s", "compaction", "done", "writes",
+              "compacts", "n");
+  PrintLatencyHeader();
+  std::printf(" %8s\n", "max");
 
   for (const bool foreground : {false, true}) {
     // A fresh device per mode: the dynamic collection journals to it.
@@ -334,17 +363,17 @@ int RunChurnBench(const BenchConfig& config) {
     }
     std::sort(latencies.begin(), latencies.end());
     const double span_s = (last_finish - first_arrival) / 1000.0;
-    std::printf("%11s %7.0fqps %7lld %8lld %9.2f %9.2f %9.2f %9.2f\n",
+    std::printf("%11s %7.0fqps %7lld %8lld",
                 foreground ? "foreground" : "background",
                 span_s > 0 ? static_cast<double>(completed) / span_s : 0,
                 static_cast<long long>(applied),
-                static_cast<long long>(compacts), Percentile(latencies, 0.50),
-                Percentile(latencies, 0.99), Percentile(latencies, 0.999),
-                latencies.empty() ? 0.0 : latencies.back());
+                static_cast<long long>(compacts));
+    PrintLatencies(latencies);
+    std::printf(" %8.2f\n", latencies.empty() ? 0.0 : latencies.back());
   }
   std::printf(
       "\nsame trace, same writes: the foreground row absorbs each rewrite\n"
-      "as a head-of-line stall (p999/max), the background row slices it\n"
+      "as a head-of-line stall (tail/max), the background row slices it\n"
       "between rounds and pauses it while queries queue.\n");
   return 0;
 }

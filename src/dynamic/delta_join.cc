@@ -1,23 +1,20 @@
 #include "dynamic/delta_join.h"
 
-#include <map>
+#include <algorithm>
 #include <memory>
 #include <utility>
 
-#include "join/hhnl.h"
-#include "join/hvnl.h"
+#include "join/batch_index.h"
 #include "join/topk.h"
-#include "join/vvm.h"
 
 namespace textjoin {
 
 namespace {
 
-int64_t LiveBaseCount(const DynamicJoinSide& side) {
-  if (side.alive == nullptr) return side.base->num_documents();
-  int64_t n = 0;
-  for (char a : *side.alive) n += (a != 0);
-  return n;
+bool HasLiveBase(const DynamicJoinSide& side) {
+  if (side.alive == nullptr) return side.base->num_documents() > 0;
+  return std::any_of(side.alive->begin(), side.alive->end(),
+                     [](char a) { return a != 0; });
 }
 
 // Live base ids when some are dead; empty when all live (executor
@@ -49,32 +46,24 @@ Result<DocumentNorms> ViewNorms(const DynamicJoinSide& side,
   return norms;
 }
 
-// term -> [(delta position, weight)], term-sorted.
-using DeltaIndex = std::map<TermId, std::vector<std::pair<int64_t, Weight>>>;
-
-DeltaIndex BuildDeltaIndex(const std::vector<const Document*>& delta) {
-  DeltaIndex index;
-  for (size_t j = 0; j < delta.size(); ++j) {
-    for (const DCell& c : delta[j]->cells()) {
-      index[c.term].emplace_back(static_cast<int64_t>(j), c.weight);
-    }
+// Calls fn(doc, document) for each live base document of `side`, in one
+// sequential scan of its collection.
+template <typename Fn>
+Status ScanLiveBase(const DynamicJoinSide& side, Fn&& fn) {
+  auto scan = side.base->Scan();
+  while (!scan.Done()) {
+    const DocId d = scan.next_doc();
+    TEXTJOIN_ASSIGN_OR_RETURN(Document doc, scan.Next());
+    if (side.live(d)) fn(d, doc);
   }
-  return index;
+  return Status::OK();
 }
 
 Result<JoinResult> RunBase(const JoinContext& ctx, const JoinSpec& spec,
                            PlanChoice* chosen, const Algorithm* force) {
   if (force == nullptr) return JoinPlanner().Execute(ctx, spec, chosen);
   if (chosen != nullptr) chosen->algorithm = *force;
-  switch (*force) {
-    case Algorithm::kHhnl:
-      return HhnlJoin().Run(ctx, spec);
-    case Algorithm::kHvnl:
-      return HvnlJoin().Run(ctx, spec);
-    case Algorithm::kVvm:
-      return VvmJoin().Run(ctx, spec);
-  }
-  return Status::InvalidArgument("unknown algorithm");
+  return RunAlgorithm(*force, false, ctx, spec);
 }
 
 // What a frozen view owns: the pinned base generation and copies of the
@@ -226,175 +215,81 @@ Result<JoinResult> JoinViews(const DynamicJoinSide& inner_view,
   const SimilarityContext& sim = *ctx.similarity;
   const int64_t inner_base_n = inner.base->num_documents();
   const int64_t outer_base_n = outer.base->num_documents();
-  const int64_t inner_live_base = LiveBaseCount(inner);
-  const int64_t outer_live_base = LiveBaseCount(outer);
+  const bool inner_base_live = HasLiveBase(inner);
+  const bool outer_base_live = HasLiveBase(outer);
 
   // Base x base through the unmodified executor, liveness as subsets.
-  Algorithm algo = force != nullptr ? *force : Algorithm::kHhnl;
   JoinResult base_rows;
-  if (inner_live_base > 0 && outer_live_base > 0) {
+  if (inner_base_live && outer_base_live) {
     JoinSpec base_spec = spec;
     base_spec.inner_subset = LiveSubset(inner);
     base_spec.outer_subset = LiveSubset(outer);
-    PlanChoice plan;
     TEXTJOIN_ASSIGN_OR_RETURN(base_rows,
-                              RunBase(ctx, base_spec, &plan, force));
-    algo = plan.algorithm;
-    if (chosen != nullptr) *chosen = plan;
+                              RunBase(ctx, base_spec, chosen, force));
   }
 
-  const DeltaIndex inner_delta_index = BuildDeltaIndex(inner.delta);
-
-  // Scores of base outer docs against DELTA inner docs. Contributions
-  // accumulate in ascending term order per pair, matching WeightedDot.
-  std::unordered_map<DocId, std::vector<double>> base_outer_delta_acc;
-  if (!inner.delta.empty() && outer_live_base > 0) {
-    if (algo == Algorithm::kVvm && outer.index != nullptr) {
-      // VVM shape: one sequential pass over the outer inverted file.
-      auto scanner = outer.index->Scan();
-      while (!scanner.Done()) {
-        const TermId term = scanner.NextTerm();
-        auto it = inner_delta_index.find(term);
-        if (it == inner_delta_index.end()) {
-          TEXTJOIN_RETURN_IF_ERROR(scanner.SkipEntry());
-          continue;
-        }
-        const double factor = sim.TermFactor(term);
-        TEXTJOIN_ASSIGN_OR_RETURN(std::vector<ICell> cells, scanner.Next());
-        for (const ICell& ic : cells) {
-          if (!outer.live(ic.doc)) continue;
-          std::vector<double>& acc = base_outer_delta_acc[ic.doc];
-          acc.resize(inner.delta.size(), 0.0);
-          for (const auto& [j, w] : it->second) {
-            acc[j] += static_cast<double>(ic.weight) *
-                      static_cast<double>(w) * factor;
-          }
-        }
-      }
-    } else {
-      // HHNL/HVNL shape: one pass over the outer documents.
-      auto scanner = outer.base->Scan();
-      while (!scanner.Done()) {
-        const DocId o = scanner.next_doc();
-        TEXTJOIN_ASSIGN_OR_RETURN(Document doc, scanner.Next());
-        if (!outer.live(o)) continue;
-        std::vector<double> acc;
-        for (const DCell& c : doc.cells()) {
-          auto it = inner_delta_index.find(c.term);
-          if (it == inner_delta_index.end()) continue;
-          const double factor = sim.TermFactor(c.term);
-          if (acc.empty()) acc.resize(inner.delta.size(), 0.0);
-          for (const auto& [j, w] : it->second) {
-            acc[j] += static_cast<double>(c.weight) *
-                      static_cast<double>(w) * factor;
-          }
-        }
-        if (!acc.empty()) base_outer_delta_acc[o] = std::move(acc);
-      }
-    }
-  }
-
-  // Assemble base-outer rows: the executor's top-lambda re-selected
-  // against the delta-inner candidates (top-k(top-k(A) u B) = top-k(A u B)).
+  // Every pair with a delta document is scored against a BatchIndex of one
+  // side's delta, whatever the executor: products and their order are
+  // WeightedDot's, so the sums are a rebuild's bits.
   JoinResult out;
-  size_t bi = 0;
-  for (int64_t o = 0; o < outer_base_n; ++o) {
-    if (!outer.live(static_cast<DocId>(o))) continue;
-    OuterMatches row;
-    row.outer_doc = static_cast<DocId>(o);
-    const OuterMatches* base_row = nullptr;
-    if (bi < base_rows.size() &&
-        base_rows[bi].outer_doc == static_cast<DocId>(o)) {
-      base_row = &base_rows[bi];
-      ++bi;
+  BatchIndex index;
+  size_t next_base_row = 0;
+  auto base_row = [&](DocId o) {
+    OuterMatches row{o, {}};
+    if (next_base_row < base_rows.size() &&
+        base_rows[next_base_row].outer_doc == o) {
+      row.matches = std::move(base_rows[next_base_row++].matches);
     }
-    auto dit = base_outer_delta_acc.find(static_cast<DocId>(o));
-    if (dit == base_outer_delta_acc.end()) {
-      if (base_row != nullptr) row.matches = base_row->matches;
-    } else {
-      TopKAccumulator heap(spec.lambda);
-      if (base_row != nullptr) {
-        for (const Match& m : base_row->matches) heap.Add(m.doc, m.score);
+    return row;
+  };
+
+  // Base-outer rows: the live outer base streams once past the indexed
+  // inner delta, and each executor row is re-offered with the delta's
+  // matches (top-k(top-k(A) u B) = top-k(A u B)).
+  if (inner.delta.empty() || !outer_base_live) {
+    for (int64_t o = 0; o < outer_base_n; ++o) {
+      if (outer.live(static_cast<DocId>(o))) {
+        out.push_back(base_row(static_cast<DocId>(o)));
       }
-      for (size_t j = 0; j < dit->second.size(); ++j) {
-        const double acc = dit->second[j];
-        if (acc <= 0) continue;
-        const DocId merged_i = static_cast<DocId>(inner_base_n + j);
-        heap.Add(merged_i,
-                 sim.Finalize(acc, merged_i, static_cast<DocId>(o)));
-      }
-      row.matches = heap.TakeSorted();
     }
-    out.push_back(std::move(row));
+  } else {
+    index.Build(inner.delta, nullptr);
+    TopKAccumulator heap(spec.lambda);
+    TEXTJOIN_RETURN_IF_ERROR(
+        ScanLiveBase(outer, [&](DocId o, const Document& doc) {
+          OuterMatches row = base_row(o);
+          for (const Match& m : row.matches) heap.Add(m.doc, m.score);
+          index.Probe(doc, sim, nullptr, [&](size_t j, double sum) {
+            const DocId i = static_cast<DocId>(inner_base_n + j);
+            heap.Add(i, sim.Finalize(sum, i, o));
+          });
+          row.matches = heap.TakeSorted();
+          out.push_back(std::move(row));
+        }));
   }
 
-  // Delta-outer rows, scored against base inner (algorithm-shaped access)
-  // and delta inner (in memory).
-  for (size_t jo = 0; jo < outer.delta.size(); ++jo) {
-    const Document& od = *outer.delta[jo];
-    const DocId merged_o = static_cast<DocId>(outer_base_n + jo);
-    std::vector<double> acc_base(static_cast<size_t>(inner_base_n), 0.0);
-    if (inner_live_base > 0) {
-      if (algo == Algorithm::kVvm && inner.index != nullptr) {
-        auto scanner = inner.index->Scan();
-        const auto& cells = od.cells();
-        size_t ci = 0;
-        while (!scanner.Done()) {
-          const TermId term = scanner.NextTerm();
-          while (ci < cells.size() && cells[ci].term < term) ++ci;
-          if (ci >= cells.size() || cells[ci].term != term) {
-            TEXTJOIN_RETURN_IF_ERROR(scanner.SkipEntry());
-            continue;
-          }
-          const double factor = sim.TermFactor(term);
-          TEXTJOIN_ASSIGN_OR_RETURN(std::vector<ICell> icells,
-                                    scanner.Next());
-          for (const ICell& ic : icells) {
-            if (!inner.live(ic.doc)) continue;
-            acc_base[ic.doc] += static_cast<double>(cells[ci].weight) *
-                                static_cast<double>(ic.weight) * factor;
-          }
-        }
-      } else if (algo == Algorithm::kHvnl && inner.index != nullptr) {
-        for (const DCell& c : od.cells()) {
-          if (inner.index->FindEntry(c.term) < 0) continue;
-          const double factor = sim.TermFactor(c.term);
-          TEXTJOIN_ASSIGN_OR_RETURN(std::vector<ICell> icells,
-                                    inner.index->FetchEntry(c.term));
-          for (const ICell& ic : icells) {
-            if (!inner.live(ic.doc)) continue;
-            acc_base[ic.doc] += static_cast<double>(c.weight) *
-                                static_cast<double>(ic.weight) * factor;
-          }
-        }
-      } else {
-        auto scanner = inner.base->Scan();
-        while (!scanner.Done()) {
-          const DocId i = scanner.next_doc();
-          TEXTJOIN_ASSIGN_OR_RETURN(Document doc, scanner.Next());
-          if (!inner.live(i)) continue;
-          acc_base[i] = WeightedDot(doc, od, sim);
-        }
-      }
-    }
-    TopKAccumulator heap(spec.lambda);
-    for (int64_t i = 0; i < inner_base_n; ++i) {
-      if (!inner.live(static_cast<DocId>(i))) continue;
-      const double acc = acc_base[i];
-      if (acc <= 0) continue;
-      heap.Add(static_cast<DocId>(i),
-               sim.Finalize(acc, static_cast<DocId>(i), merged_o));
+  // Delta-outer rows: the live inner base (one scan), then the inner
+  // delta, stream past the indexed outer delta into one heap per row.
+  if (!outer.delta.empty()) {
+    index.Build(outer.delta, nullptr);
+    std::vector<TopKAccumulator> heaps(outer.delta.size(),
+                                       TopKAccumulator(spec.lambda));
+    auto offer = [&](DocId i, const Document& doc) {
+      index.Probe(doc, sim, nullptr, [&](size_t j, double sum) {
+        const DocId o = static_cast<DocId>(outer_base_n + j);
+        heaps[j].Add(i, sim.Finalize(sum, i, o));
+      });
+    };
+    if (inner_base_live) {
+      TEXTJOIN_RETURN_IF_ERROR(ScanLiveBase(inner, offer));
     }
     for (size_t j = 0; j < inner.delta.size(); ++j) {
-      const double acc = WeightedDot(od, *inner.delta[j], sim);
-      if (acc <= 0) continue;
-      const DocId merged_i = static_cast<DocId>(inner_base_n + j);
-      heap.Add(merged_i, sim.Finalize(acc, merged_i, merged_o));
+      offer(static_cast<DocId>(inner_base_n + j), *inner.delta[j]);
     }
-    OuterMatches row;
-    row.outer_doc = merged_o;
-    row.matches = heap.TakeSorted();
-    out.push_back(std::move(row));
+    for (size_t j = 0; j < heaps.size(); ++j) {
+      out.push_back(OuterMatches{static_cast<DocId>(outer_base_n + j),
+                                 heaps[j].TakeSorted()});
+    }
   }
   return out;
 }

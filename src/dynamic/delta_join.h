@@ -73,18 +73,23 @@ JoinContext ViewContext(const DynamicJoinSide& inner,
 //   * Otherwise base x base pairs run through the UNMODIFIED executor
 //     (liveness becomes a subset), so their accumulation order — and
 //     therefore every floating-point sum — is the static path's.
-//   * Delta contributions accumulate in the same ascending-term order and
-//     are folded per outer row by re-running top-lambda selection
-//     (top-k(top-k(A) u B) = top-k(A u B), with BetterMatch ties preserved
-//     because merged ids are order-isomorphic to a rebuild's dense ids).
+//   * Every pair with a delta document is scored, whatever the executor,
+//     against a BatchIndex (join/batch_index.h) of one side's in-memory
+//     delta: the live outer base streams once past the inner delta, and
+//     the live inner base (once) and then the inner delta stream past the
+//     outer delta. Each pair sums WeightedDot's products in its
+//     ascending-term order, and a base row is folded with its delta
+//     matches by re-running top-lambda selection (top-k(top-k(A) u B) =
+//     top-k(A u B), with BetterMatch ties preserved because merged ids are
+//     order-isomorphic to a rebuild's dense ids). No posting is read.
 //
 // Merged doc ids: base ids stay; the j-th alive delta doc of a side is
 // base.num_documents() + j. A side with a delta or deletions must have an
 // empty spec subset (selection pushdown composes with liveness
 // ambiguously; rejected as InvalidArgument); a clean side's subset narrows
 // its participating documents as usual. When `force` is non-null that
-// algorithm runs; otherwise the planner picks over the base collections.
-// `chosen` (optional) reports the base plan.
+// algorithm runs base x base; otherwise the planner picks over the base
+// collections. `chosen` (optional) reports the base plan.
 Result<JoinResult> JoinViews(const DynamicJoinSide& inner,
                              const DynamicJoinSide& outer,
                              const JoinContext& ctx, const JoinSpec& spec,

@@ -5,8 +5,24 @@
 #include <string>
 
 #include "exec/governor.h"
+#include "join/hhnl.h"
+#include "join/hvnl.h"
+#include "join/vvm.h"
 
 namespace textjoin {
+
+Result<JoinResult> RunAlgorithm(Algorithm algorithm, bool hhnl_backward,
+                                const JoinContext& ctx, const JoinSpec& spec) {
+  switch (algorithm) {
+    case Algorithm::kHhnl:
+      return HhnlJoin(HhnlJoin::Options{hhnl_backward}).Run(ctx, spec);
+    case Algorithm::kHvnl:
+      return HvnlJoin().Run(ctx, spec);
+    case Algorithm::kVvm:
+      return VvmJoin().Run(ctx, spec);
+  }
+  return Status::InvalidArgument("unknown algorithm");
+}
 
 int64_t EffectiveBufferPages(const JoinContext& ctx) {
   if (ctx.governor == nullptr) return ctx.sys.buffer_pages;

@@ -106,6 +106,12 @@ class TextJoinAlgorithm {
                                  const JoinSpec& spec) = 0;
 };
 
+// Constructs and runs one executor: HHNL (in backward order when
+// `hhnl_backward`), HVNL or VVM. The planner, the parallel join and joins
+// of collection views (dynamic/delta_join.h) all run an executor here.
+Result<JoinResult> RunAlgorithm(Algorithm algorithm, bool hhnl_backward,
+                                const JoinContext& ctx, const JoinSpec& spec);
+
 // Helpers shared by the executors and tests.
 
 // The participating outer documents: spec.outer_subset, or 0..N2-1.

@@ -15,10 +15,12 @@ namespace textjoin {
 //
 // The paper fixes only what stays resident and how often C1 is scanned;
 // the in-memory comparison here is term-at-a-time. Each batch is indexed
-// by term: every resident d-cell is held once, as a (uint32 slot, uint16
-// weight) cell of 8 bytes — no more than the 8-byte DCell it replaces, and
-// the batch's Document copies are dropped once indexed — plus a dense
-// term directory of 4 bytes x (largest term id in the batch + 2). Each
+// by term in a BatchIndex (join/batch_index.h, shared with the delta
+// scoring of collection-view joins): every resident d-cell is held once,
+// as a (uint32 slot, uint16 weight) cell of 8 bytes — no more than the
+// 8-byte DCell it replaces, and the batch's Document copies are dropped
+// once indexed — plus a dense term directory of 4 bytes x (largest term
+// id in the batch + 2). Each
 // streamed document looks each of its terms up once and adds the products
 // into a dense per-slot accumulator (8 bytes per slot), summing every
 // pair's products in WeightedDot's order, so scores are bit-identical to a

@@ -7,9 +7,6 @@
 #include "common/math_util.h"
 #include "exec/governor.h"
 #include "obs/query_stats.h"
-#include "join/hhnl.h"
-#include "join/hvnl.h"
-#include "join/vvm.h"
 #include "sim/synthetic.h"
 
 namespace textjoin {
@@ -134,24 +131,8 @@ Result<ParallelJoinReport> ParallelTextJoin::Run(const JoinContext& ctx,
 
     disk->ResetHeads();  // this worker's drives are its own
     const IoStats before = disk->stats();
-    Result<JoinResult> r(Status::OK());
-    switch (options_.algorithm) {
-      case Algorithm::kHhnl: {
-        HhnlJoin join;
-        r = join.Run(worker_ctx, worker_spec);
-        break;
-      }
-      case Algorithm::kHvnl: {
-        HvnlJoin join;
-        r = join.Run(worker_ctx, worker_spec);
-        break;
-      }
-      case Algorithm::kVvm: {
-        VvmJoin join;
-        r = join.Run(worker_ctx, worker_spec);
-        break;
-      }
-    }
+    Result<JoinResult> r =
+        RunAlgorithm(options_.algorithm, false, worker_ctx, worker_spec);
     if (!r.ok()) {
       // Partial-failure surfacing: name the worker that died and how much
       // of the join had completed. Results from finished workers are

@@ -4,9 +4,6 @@
 #include <sstream>
 
 #include "cost/statistics.h"
-#include "join/hhnl.h"
-#include "join/hvnl.h"
-#include "join/vvm.h"
 
 namespace textjoin {
 
@@ -97,29 +94,6 @@ Result<PlanChoice> JoinPlanner::Plan(const JoinContext& ctx,
   choice.explanation = os.str();
   return choice;
 }
-
-namespace {
-
-Result<JoinResult> RunAlgorithm(Algorithm algorithm, bool hhnl_backward,
-                                const JoinContext& ctx, const JoinSpec& spec) {
-  switch (algorithm) {
-    case Algorithm::kHhnl: {
-      HhnlJoin join(HhnlJoin::Options{hhnl_backward});
-      return join.Run(ctx, spec);
-    }
-    case Algorithm::kHvnl: {
-      HvnlJoin join;
-      return join.Run(ctx, spec);
-    }
-    case Algorithm::kVvm: {
-      VvmJoin join;
-      return join.Run(ctx, spec);
-    }
-  }
-  return Status::Internal("unknown algorithm");
-}
-
-}  // namespace
 
 Result<JoinResult> JoinPlanner::Execute(const JoinContext& ctx,
                                         const JoinSpec& spec,

@@ -25,6 +25,7 @@ namespace {
 using testing_util::BuildCollection;
 using testing_util::JoinFixture;
 using testing_util::MakeFixture;
+using testing_util::RandomCollection;
 
 // Crash-point sweeps honour the same seed environment variable as the
 // chaos suite, so scripts/check.sh recovery can sweep schedules.
@@ -400,6 +401,173 @@ TEST(DynamicJoinTest, MatchesRebuildAcrossConfigs) {
        {plain, cosine, HardestConfig()}) {
     VerifyMatchesRebuild(**dc, model, config);
     if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// A delta on the outer side, joined to a static inner narrowed by an
+// inner_subset: every executor must return the bits of the same executor,
+// same subset, over a rebuild of the outer's live documents.
+TEST(DynamicJoinTest, OuterDeltaWithInnerSubsetMatchesRebuild) {
+  const uint64_t seed = 29 + SeedOffset();
+  Rng rng(seed);
+  std::vector<std::vector<DCell>> inner_docs;
+  for (int i = 0; i < 12; ++i) inner_docs.push_back(RandomCells(&rng, 4, 24));
+  const Script script = MakeScript(seed);
+  SimulatedDisk disk(512);
+  auto dc = DynamicCollection::Create(&disk, "dyn", Docs(script.initial));
+  ASSERT_TRUE(dc.ok()) << dc.status();
+  Model model = InitialModel(script);
+  DocKey next_key = static_cast<DocKey>(script.initial.size()) + 1;
+  for (const Op& op : {Op{true, RandomCells(&rng, 4, 24), 0},
+                       Op{true, RandomCells(&rng, 4, 24), 0},
+                       Op{false, {}, 4},
+                       Op{true, RandomCells(&rng, 4, 24), 0}}) {
+    ASSERT_TRUE(ApplyOp(dc->get(), op).ok());
+    ApplyToModel(&model, op, &next_key);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  const DocumentCollection inner = BuildCollection(&disk, "c1", inner_docs);
+  auto inner_index = InvertedFile::Build(&disk, "c1.inv", inner);
+  ASSERT_TRUE(inner_index.ok()) << inner_index.status();
+
+  SimulatedDisk ref_disk(512);
+  std::vector<std::vector<DCell>> live;
+  for (const auto& [key, cells] : model) live.push_back(cells);
+  auto ref = MakeFixture(&ref_disk,
+                         BuildCollection(&ref_disk, "ref_i", inner_docs),
+                         BuildCollection(&ref_disk, "ref_o", live),
+                         HardestConfig());
+  JoinSpec spec;
+  spec.lambda = 3;
+  spec.similarity = HardestConfig();
+  spec.inner_subset = {1, 3, 4, 7, 10};
+
+  const DynamicJoinSide outer_side = MakeJoinSide(**dc);
+  ASSERT_FALSE(outer_side.clean());
+  const DynamicJoinSide inner_side = MakeJoinSide(inner, &*inner_index);
+  // merged outer id -> live position (the dense id a rebuild assigns).
+  std::unordered_map<DocId, DocId> pos;
+  for (int64_t d = 0; d < (*dc)->base().num_documents(); ++d) {
+    if ((*dc)->base_alive()[d]) {
+      pos.emplace(static_cast<DocId>(d), static_cast<DocId>(pos.size()));
+    }
+  }
+  for (size_t j = 0; j < outer_side.delta.size(); ++j) {
+    pos.emplace(static_cast<DocId>((*dc)->base().num_documents() + j),
+                static_cast<DocId>(pos.size()));
+  }
+  for (Algorithm algo :
+       {Algorithm::kHhnl, Algorithm::kHvnl, Algorithm::kVvm}) {
+    SCOPED_TRACE(AlgorithmName(algo));
+    auto want = RunAlgorithm(algo, false, ref->Context(1000), spec);
+    ASSERT_TRUE(want.ok()) << want.status();
+    auto got = DynamicJoin(inner_side, outer_side, spec,
+                           SystemParams{1000, 512, 5.0}, nullptr, nullptr,
+                           &algo);
+    ASSERT_TRUE(got.ok()) << got.status();
+    for (OuterMatches& row : *got) row.outer_doc = pos.at(row.outer_doc);
+    EXPECT_EQ(*got, *want);
+  }
+}
+
+// The delta path scores from documents alone. C1's inverted file here names
+// documents past C1 (it indexes a 60-document collection, standing for the
+// 40-document C1), and the outer's only live documents are its delta, so no
+// executor runs: the join must read no posting and return a WeightedDot
+// brute force of the delta against C1, scores and tie-breaks.
+TEST(DynamicJoinTest, DeltaOuterRowsReadNoPosting) {
+  for (const bool cosine : {false, true}) {
+    SimulatedDisk disk(256);
+    const DocumentCollection c1 =
+        RandomCollection(&disk, "c1", 40, 6, 50, 121);
+    const DocumentCollection wide =
+        RandomCollection(&disk, "wide", 60, 6, 50, 343);
+    auto wide_index = InvertedFile::Build(&disk, "wide.inv", wide);
+    ASSERT_TRUE(wide_index.ok());
+    Rng rng(232);
+    std::vector<std::vector<DCell>> base_docs;
+    for (int i = 0; i < 5; ++i) base_docs.push_back(RandomCells(&rng, 5, 50));
+    auto dc = DynamicCollection::Create(&disk, "dyn", Docs(base_docs));
+    ASSERT_TRUE(dc.ok()) << dc.status();
+    for (DocKey key = 1; key <= 5; ++key) ASSERT_TRUE((*dc)->Delete(key).ok());
+    for (int i = 0; i < 8; ++i) {
+      ASSERT_TRUE((*dc)->Insert(Document::FromSortedCells(
+                                    RandomCells(&rng, 5, 50)))
+                      .ok());
+    }
+    const DynamicJoinSide inner = MakeJoinSide(c1, &*wide_index);
+    const DynamicJoinSide outer = MakeJoinSide(**dc);
+    JoinSpec spec;
+    spec.lambda = 4;
+    spec.similarity.cosine_normalize = cosine;
+    auto sim = ViewSimilarity(inner, &outer, spec.similarity);
+    ASSERT_TRUE(sim.ok()) << sim.status();
+    JoinResult want;
+    for (size_t j = 0; j < outer.delta.size(); ++j) {
+      const DocId o = static_cast<DocId>(5 + j);
+      TopKAccumulator heap(spec.lambda);
+      for (DocId i = 0; i < 40; ++i) {
+        auto d1 = c1.ReadDocument(i);
+        ASSERT_TRUE(d1.ok()) << d1.status();
+        const double acc = WeightedDot(*d1, *outer.delta[j], *sim);
+        if (acc > 0) heap.Add(i, sim->Finalize(acc, i, o));
+      }
+      want.push_back(OuterMatches{o, heap.TakeSorted()});
+    }
+    for (Algorithm algo : {Algorithm::kHvnl, Algorithm::kVvm}) {
+      SCOPED_TRACE(std::string(AlgorithmName(algo)) +
+                   (cosine ? ", cosine" : ", raw"));
+      auto got = DynamicJoin(inner, outer, spec, SystemParams{100, 256, 5.0},
+                             nullptr, nullptr, &algo);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(*got, want);
+    }
+  }
+}
+
+// Delta-outer rows stream the inner base once, whatever their number: under
+// each executor a join whose outer has 16 delta documents reads the pages
+// of one whose outer has 1.
+TEST(DynamicJoinTest, DeltaOuterRowsReadInnerBaseOnce) {
+  SimilarityConfig config;
+  config.cosine_normalize = true;
+  config.use_idf = true;
+  JoinSpec spec;
+  spec.lambda = 10;
+  spec.similarity = config;
+  for (Algorithm algo :
+       {Algorithm::kHhnl, Algorithm::kHvnl, Algorithm::kVvm}) {
+    SCOPED_TRACE(AlgorithmName(algo));
+    std::vector<IoStats> reads;
+    for (const int k : {1, 16}) {
+      SimulatedDisk disk(512);
+      const DocumentCollection c1 =
+          RandomCollection(&disk, "c1", 400, 8, 200, 401);
+      auto c1_index = InvertedFile::Build(&disk, "c1.inv", c1);
+      ASSERT_TRUE(c1_index.ok());
+      Rng rng(402);
+      std::vector<std::vector<DCell>> base_docs;
+      for (int i = 0; i < 100; ++i) {
+        base_docs.push_back(RandomCells(&rng, 8, 200));
+      }
+      auto dc = DynamicCollection::Create(&disk, "c2", Docs(base_docs));
+      ASSERT_TRUE(dc.ok()) << dc.status();
+      for (int i = 0; i < k; ++i) {
+        ASSERT_TRUE((*dc)->Insert(Document::FromSortedCells(
+                                      RandomCells(&rng, 8, 200)))
+                        .ok());
+      }
+      disk.ResetHeads();
+      const IoStats before = disk.stats();
+      auto got = DynamicJoin(MakeJoinSide(c1, &*c1_index), MakeJoinSide(**dc),
+                             spec, SystemParams{64, 512, 5.0}, nullptr,
+                             nullptr, &algo);
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(got->size(), 100u + k);
+      reads.push_back(disk.stats() - before);
+    }
+    EXPECT_EQ(reads[1].sequential_reads, reads[0].sequential_reads);
+    EXPECT_EQ(reads[1].random_reads, reads[0].random_reads);
   }
 }
 
