@@ -2,6 +2,8 @@
 #define TEXTJOIN_COMMON_MATH_UTIL_H_
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "common/logging.h"
 
@@ -16,6 +18,11 @@ constexpr int64_t CeilDiv(int64_t a, int64_t b) {
 // cost formulas (reading an entity of size `frac` pages touches
 // ceil(frac) whole pages). Requires frac >= 0.
 int64_t CeilPages(double frac);
+
+// The q-quantile of ascending `sorted`, formatted with two decimals, or "-"
+// when fewer than ten samples lie beyond it: a p999 of a few hundred
+// samples would be the maximum.
+std::string Percentile(const std::vector<double>& sorted, double q);
 
 }  // namespace textjoin
 

@@ -66,21 +66,31 @@ Result<JoinResult> RunBase(const JoinContext& ctx, const JoinSpec& spec,
   return RunAlgorithm(*force, false, ctx, spec);
 }
 
-// What a frozen view owns: the pinned base generation and copies of the
-// collection state that later mutations change.
+// Adds `side`'s live document frequencies into `df`: its base catalog's,
+// minus its deleted base documents', plus one per alive delta document.
+void AddLiveDf(const DynamicJoinSide& side, IdfWeights::DfMap* df) {
+  for (const auto& [term, n] : side.base->doc_freq_map()) (*df)[term] += n;
+  if (side.deleted_df != nullptr) {
+    for (const auto& [term, n] : *side.deleted_df) (*df)[term] -= n;
+  }
+  for (const Document* d : side.delta) {
+    for (const DCell& c : d->cells()) ++(*df)[c.term];
+  }
+}
+
+// What a frozen view owns: the pinned base generation and deleted-df map,
+// and copies of the collection state that later mutations change in place.
 struct FrozenState {
   std::shared_ptr<const DocumentCollection> base;
   std::shared_ptr<const InvertedFile> index;
+  std::shared_ptr<const IdfWeights::DfMap> deleted_df;
   std::vector<char> alive;
   std::vector<Document> delta;
-  std::shared_ptr<const void> df;
 };
 
 }  // namespace
 
 DynamicJoinSide MakeJoinSide(const DynamicCollection& dc) {
-  auto df = std::make_shared<const std::unordered_map<TermId, int64_t>>(
-      dc.MergedDfMap());
   DynamicJoinSide side;
   side.base = &dc.base();
   side.index = &dc.base_index();
@@ -92,8 +102,7 @@ DynamicJoinSide MakeJoinSide(const DynamicCollection& dc) {
                           static_cast<int64_t>(side.delta.size())) {
     side.alive = &dc.base_alive();
   }
-  side.df = df.get();
-  side.owned = std::move(df);
+  side.deleted_df = dc.deleted_df().get();
   return side;
 }
 
@@ -102,6 +111,7 @@ DynamicJoinSide FrozenJoinSide(const DynamicCollection& dc) {
   auto state = std::make_shared<FrozenState>();
   state->base = dc.base_shared();
   state->index = dc.index_shared();
+  state->deleted_df = dc.deleted_df();
   if (side.alive != nullptr) {
     state->alive = *side.alive;
     side.alive = &state->alive;
@@ -111,7 +121,6 @@ DynamicJoinSide FrozenJoinSide(const DynamicCollection& dc) {
     state->delta.push_back(*d);
     d = &state->delta.back();
   }
-  state->df = std::move(side.owned);
   side.owned = std::move(state);
   return side;
 }
@@ -121,7 +130,6 @@ DynamicJoinSide MakeJoinSide(const DocumentCollection& base,
   DynamicJoinSide side;
   side.base = &base;
   side.index = index;
-  side.df = &base.doc_freq_map();
   side.num_live = base.num_documents();
   return side;
 }
@@ -133,18 +141,20 @@ Result<SimilarityContext> ViewSimilarity(const DynamicJoinSide& inner,
   sim.config = config;
   const int64_t n_total =
       inner.num_live + (outer != nullptr ? outer->num_live : 0);
-  const IdfWeights::DfMap* df1 = inner.df;
-  const IdfWeights::DfMap* df2 = outer != nullptr ? outer->df : nullptr;
-  if (config.use_idf && df2 != nullptr &&
-      (inner.owned != nullptr || outer->owned != nullptr)) {
-    // A dynamic side's df map is a per-join copy already; folding both
-    // sides into one keeps TermFactor at a single lookup in the join's
-    // inner loops. Static x static borrows both catalogs instead.
-    auto merged = std::make_shared<IdfWeights::DfMap>(*df1);
-    for (const auto& [term, n] : *df2) (*merged)[term] += n;
-    df1 = merged.get();
+  const IdfWeights::DfMap* df1 = &inner.base->doc_freq_map();
+  const IdfWeights::DfMap* df2 =
+      outer != nullptr ? &outer->base->doc_freq_map() : nullptr;
+  if (config.use_idf && (!inner.clean() || (outer != nullptr &&
+                                            !outer->clean()))) {
+    // One folded map keeps TermFactor at a single lookup in the inner
+    // loops.
+    auto live = std::make_shared<IdfWeights::DfMap>();
+    live->reserve(df1->size() + (df2 != nullptr ? df2->size() : 0));
+    AddLiveDf(inner, live.get());
+    if (outer != nullptr) AddLiveDf(*outer, live.get());
+    df1 = live.get();
     df2 = nullptr;
-    sim.owned = std::move(merged);
+    sim.owned = std::move(live);
   }
   sim.idf = IdfWeights(static_cast<double>(n_total), df1, df2,
                        config.use_idf);

@@ -2,7 +2,6 @@
 #define TEXTJOIN_DYNAMIC_DELTA_JOIN_H_
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -14,23 +13,27 @@ namespace textjoin {
 
 // One collection as every join and serving path sees it: the durable base
 // (collection + index), a liveness mask over its dense DocIds, the
-// in-memory delta documents, and this side's live document-frequency
-// statistics. A static collection is the view with no delta and no
-// deletes; it borrows the collection's own df map.
+// in-memory delta documents, and the document frequencies of the deleted
+// base documents. A static collection is the view with no delta and no
+// deletes. Live df (the base catalog's, minus the deleted documents', plus
+// the alive delta's) is built by ViewSimilarity, and only when idf scores.
 //
 // A view made from a DynamicCollection by MakeJoinSide borrows the
-// collection's state and is valid until its next mutation; FrozenJoinSide
-// copies that state instead, so the view stays valid (and unchanged) across
-// later writes and compactions.
+// collection's state and is valid until its next mutation. FrozenJoinSide
+// copies the liveness mask and the delta documents and pins the base
+// generation and the deleted-df map (which the collection copies before
+// changing while a view shares it), so the view stays valid (and
+// unchanged) across later writes and compactions.
 struct DynamicJoinSide {
   const DocumentCollection* base = nullptr;
   const InvertedFile* index = nullptr;       // may be null
   const std::vector<char>* alive = nullptr;  // null = every base doc live
   std::vector<const Document*> delta;        // alive delta, insertion order
-  const std::unordered_map<TermId, int64_t>* df = nullptr;  // live df
+  // df of the deleted base documents; null for a static collection.
+  const IdfWeights::DfMap* deleted_df = nullptr;
   int64_t num_live = 0;                      // live documents, base + delta
-  // What the pointers above point into when the view owns it (its df map,
-  // and for a frozen view the pinned generation and copied delta).
+  // What the pointers above point into when a frozen view owns it: the
+  // pinned generation and deleted-df map, the copied mask and delta.
   std::shared_ptr<const void> owned;
 
   // No delta and no deletions: the executor's rows are the answer.
@@ -46,13 +49,15 @@ DynamicJoinSide MakeJoinSide(const DocumentCollection& base,
                              const InvertedFile* index);
 
 // The similarity of a join between two views: idf over the MERGED live
-// statistics (N and df of both sides together; the df maps are folded into
-// one when a side is dynamic), and cosine norms per side — base documents
-// through DocumentNorms::Create, delta documents through WeightedNorm, the
-// identical per-cell expression. For two static views this is exactly
-// SimilarityContext::Create of their collections. With `outer` null the
-// statistics are `inner`'s alone and only inner_norms is filled: the
-// context a serving query is scored under.
+// statistics (N and df of both sides together), and cosine norms per side —
+// base documents through DocumentNorms::Create, delta documents through
+// WeightedNorm, the identical per-cell expression. Clean views borrow their
+// catalogs' df maps, so for two static views this is exactly
+// SimilarityContext::Create of their collections. When a side has a delta
+// or deletions and idf is on, both sides' live df is added into one map
+// that the context owns; every term's df is the same integer sum either
+// way. With `outer` null the statistics are `inner`'s alone and only
+// inner_norms is filled: the context a serving query is scored under.
 Result<SimilarityContext> ViewSimilarity(const DynamicJoinSide& inner,
                                          const DynamicJoinSide* outer,
                                          const SimilarityConfig& config);

@@ -29,20 +29,13 @@ std::vector<const DynamicCollection::DeltaDoc*> DynamicCollection::AliveDelta()
   return out;
 }
 
-std::unordered_map<TermId, int64_t> DynamicCollection::MergedDfMap() const {
-  std::unordered_map<TermId, int64_t> df = base_->doc_freq_map();
-  for (const auto& [term, minus] : df_minus_) {
-    auto it = df.find(term);
-    if (it != df.end()) it->second -= minus;
+void DynamicCollection::DeleteBase(DocId id, const Document& doc) {
+  if (df_minus_.use_count() > 1) {
+    df_minus_ = std::make_shared<DfMap>(*df_minus_);
   }
-  for (const DeltaEntry& e : delta_) {
-    if (!e.alive) continue;
-    for (const DCell& c : e.doc.cells()) ++df[c.term];
-  }
-  for (auto it = df.begin(); it != df.end();) {
-    it = it->second <= 0 ? df.erase(it) : std::next(it);
-  }
-  return df;
+  for (const DCell& c : doc.cells()) ++(*df_minus_)[c.term];
+  alive_[id] = 0;
+  ++base_dead_;
 }
 
 DocKey DynamicCollection::KeyOfMerged(DocId merged) const {
@@ -164,7 +157,7 @@ Status DynamicCollection::LoadGeneration(int64_t gen) {
   base_dead_ = 0;
   delta_.clear();
   delta_dead_ = 0;
-  df_minus_.clear();
+  df_minus_ = std::make_shared<DfMap>();
   generation_ = gen;
   return Status::OK();
 }
@@ -212,9 +205,7 @@ Status DynamicCollection::Apply(WalRecordType type,
     }
     TEXTJOIN_ASSIGN_OR_RETURN(Document doc,
                               base_->ReadDocument(it->second));
-    for (const DCell& c : doc.cells()) ++df_minus_[c.term];
-    alive_[it->second] = 0;
-    ++base_dead_;
+    DeleteBase(it->second, doc);
     ++epoch_;
     return Status::OK();
   }
@@ -311,9 +302,7 @@ Status DynamicCollection::Delete(DocKey key) {
     delta_target->alive = false;
     ++delta_dead_;
   } else {
-    for (const DCell& c : base_doc.cells()) ++df_minus_[c.term];
-    alive_[base_id] = 0;
-    ++base_dead_;
+    DeleteBase(base_id, base_doc);
   }
   ++epoch_;
   if (active_job_ != nullptr) {
@@ -338,7 +327,7 @@ Status DynamicCollection::InstallGeneration(
   base_dead_ = 0;
   delta_.clear();
   delta_dead_ = 0;
-  df_minus_.clear();
+  df_minus_ = std::make_shared<DfMap>();
   wal_ = std::make_unique<WalWriter>(std::move(wal));
   generation_ = gen;
   epoch_ = epoch;

@@ -116,9 +116,13 @@ class DynamicCollection {
   // break identically.
   std::vector<const DeltaDoc*> AliveDelta() const;
 
-  // Live document frequencies: base df minus deleted docs plus delta.
-  // Only terms with df > 0 appear.
-  std::unordered_map<TermId, int64_t> MergedDfMap() const;
+  // Document frequencies of the deleted base documents: live df is the
+  // base catalog's minus this map plus the alive delta's terms. A frozen
+  // view (dynamic/delta_join.h) pins the map; a delete copies it before
+  // changing it whenever a view shares it, and compaction starts a new one,
+  // so a pinned map keeps the counts of the epoch it was pinned at.
+  using DfMap = std::unordered_map<TermId, int64_t>;
+  std::shared_ptr<const DfMap> deleted_df() const { return df_minus_; }
 
   // Stable key of a merged doc id (which must be live).
   DocKey KeyOfMerged(DocId merged) const;
@@ -137,6 +141,10 @@ class DynamicCollection {
   // Applies a WAL record to the in-memory state (no WAL write). Shared by
   // replay and live mutations.
   Status Apply(WalRecordType type, const std::vector<uint8_t>& payload);
+
+  // Marks base document `id` deleted and counts its terms into df_minus_,
+  // copying the map first when a view shares it.
+  void DeleteBase(DocId id, const Document& doc);
 
   Status CommitManifest(int64_t generation, int64_t epoch, DocKey next_key);
 
@@ -175,9 +183,9 @@ class DynamicCollection {
   };
   std::vector<DeltaEntry> delta_;  // insertion order
   int64_t delta_dead_ = 0;
-  // Live df adjustments relative to the base catalog: df of deleted base
-  // docs (subtract) — delta df is counted from delta_ directly.
-  std::unordered_map<TermId, int64_t> df_minus_;
+  // df of the deleted base documents (see deleted_df()); never changed
+  // while a view shares it.
+  std::shared_ptr<DfMap> df_minus_ = std::make_shared<DfMap>();
 
   std::unique_ptr<WalWriter> wal_;
 

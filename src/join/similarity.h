@@ -98,8 +98,9 @@ struct SimilarityContext {
   IdfWeights idf;
   DocumentNorms inner_norms;
   DocumentNorms outer_norms;
-  // What `idf` borrows when nothing else owns it: the merged df map of a
-  // join with a dynamic side (dynamic/delta_join.h). Usually null.
+  // What `idf` borrows when nothing else owns it: the live df map of views
+  // with a delta or deletions, under idf (dynamic/delta_join.h). Usually
+  // null.
   std::shared_ptr<const void> owned;
 
   // `inner` is C1, `outer` is C2.

@@ -108,7 +108,9 @@ TEST_P(ChaosSweepTest, RecoversOrFailsCleanly) {
     EXPECT_FALSE(exposed.ok())
         << AlgorithmName(algorithm)
         << ": schedule fired under retry but not without it";
-    if (!exposed.ok()) EXPECT_TRUE(IsIoFailure(exposed.status()));
+    if (!exposed.ok()) {
+      EXPECT_TRUE(IsIoFailure(exposed.status()));
+    }
   } else if (exposed.ok()) {
     EXPECT_EQ(*exposed, *clean);
   }

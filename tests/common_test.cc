@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/math_util.h"
 #include "common/random.h"
@@ -121,6 +123,21 @@ TEST(MathTest, CeilPages) {
   EXPECT_EQ(CeilPages(0.1), 1);
   EXPECT_EQ(CeilPages(1.0), 1);
   EXPECT_EQ(CeilPages(1.0001), 2);
+}
+
+// A percentile prints only with at least ten samples beyond it: p99 needs
+// 1001 samples (index 990, samples 991..1000 beyond), p999 10 011.
+TEST(MathTest, PercentileNeedsTenSamplesBeyond) {
+  std::vector<double> sorted(1000);
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    sorted[i] = static_cast<double>(i);
+  }
+  EXPECT_EQ(Percentile(sorted, 0.99), "-");
+  EXPECT_EQ(Percentile(sorted, 0.50), "500.00");
+  sorted.push_back(1000);
+  EXPECT_EQ(Percentile(sorted, 0.99), "990.00");
+  EXPECT_EQ(Percentile(sorted, 0.999), "-");
+  EXPECT_EQ(Percentile({}, 0.50), "-");
 }
 
 TEST(RngTest, Deterministic) {

@@ -59,7 +59,9 @@ TEST(InvertedFileTest, EntriesSortedByTermWithCorrectCounts) {
   TermId prev = 0;
   for (size_t i = 0; i < inv->entries().size(); ++i) {
     const auto& e = inv->entries()[i];
-    if (i > 0) EXPECT_GT(e.term, prev);
+    if (i > 0) {
+      EXPECT_GT(e.term, prev);
+    }
     prev = e.term;
     EXPECT_EQ(e.cell_count, col.DocumentFrequency(e.term));
     total += e.cell_count;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -402,6 +403,111 @@ TEST(DynamicJoinTest, MatchesRebuildAcrossConfigs) {
     VerifyMatchesRebuild(**dc, model, config);
     if (::testing::Test::HasFatalFailure()) return;
   }
+}
+
+// Every term's idf factor under `sim`, as bits (the scripts' vocabulary
+// is 24 terms).
+std::vector<uint64_t> TermFactorBits(const SimilarityContext& sim) {
+  std::vector<uint64_t> bits;
+  for (TermId t = 0; t < 24; ++t) {
+    bits.push_back(std::bit_cast<uint64_t>(sim.TermFactor(t)));
+  }
+  return bits;
+}
+
+// The norm of every document of `view` (base ids, then delta) under `sim`,
+// as bits.
+std::vector<uint64_t> NormBits(const SimilarityContext& sim,
+                               const DynamicJoinSide& view) {
+  std::vector<uint64_t> bits;
+  const size_t n = static_cast<size_t>(view.base->num_documents()) +
+                   view.delta.size();
+  for (size_t d = 0; d < n; ++d) {
+    bits.push_back(std::bit_cast<uint64_t>(
+        sim.inner_norms.of(static_cast<DocId>(d))));
+  }
+  return bits;
+}
+
+// A frozen view shares the collection's deleted-df map instead of copying
+// any df, and live df is built only when idf scores: without idf, or over
+// a clean view, the similarity owns no map.
+TEST(DynamicJoinTest, FrozenViewPinsDeletedDfAndBuildsLiveDfOnlyUnderIdf) {
+  const Script script = MakeScript(53 + SeedOffset());
+  SimulatedDisk disk(512);
+  auto dc = DynamicCollection::Create(&disk, "dyn", Docs(script.initial));
+  ASSERT_TRUE(dc.ok()) << dc.status();
+  const DynamicJoinSide clean = FrozenJoinSide(**dc);
+  ASSERT_TRUE(clean.clean());
+  ASSERT_TRUE((*dc)->Delete(3).ok());
+
+  const DynamicJoinSide view = FrozenJoinSide(**dc);
+  ASSERT_FALSE(view.clean());
+  const auto pinned = (*dc)->deleted_df();
+  EXPECT_EQ(view.deleted_df, pinned.get());
+  EXPECT_FALSE(pinned->empty());
+  for (const bool cosine : {false, true}) {
+    for (const bool idf : {false, true}) {
+      SCOPED_TRACE(std::string("cosine=") + (cosine ? "1" : "0") +
+                   " idf=" + (idf ? "1" : "0"));
+      const SimilarityConfig config{cosine, idf};
+      auto sim = ViewSimilarity(view, nullptr, config);
+      ASSERT_TRUE(sim.ok()) << sim.status();
+      EXPECT_EQ(sim->owned != nullptr, idf);
+      auto joined = ViewSimilarity(clean, &view, config);
+      ASSERT_TRUE(joined.ok()) << joined.status();
+      EXPECT_EQ(joined->owned != nullptr, idf);
+      auto borrowed = ViewSimilarity(clean, nullptr, config);
+      ASSERT_TRUE(borrowed.ok()) << borrowed.status();
+      EXPECT_EQ(borrowed->owned, nullptr);
+    }
+  }
+
+  // The next delete copies the shared map; the pinned one is unchanged.
+  const IdfWeights::DfMap before = *pinned;
+  ASSERT_TRUE((*dc)->Delete(7).ok());
+  EXPECT_NE((*dc)->deleted_df().get(), pinned.get());
+  EXPECT_EQ(*pinned, before);
+  EXPECT_EQ(view.deleted_df, pinned.get());
+}
+
+// A frozen view scores the same, bit for bit, before and after later base
+// deletes, an insert, a delta delete and a compaction; a fresh view of the
+// mutated collection does not.
+TEST(DynamicJoinTest, FrozenViewScoresIdenticallyAfterLaterWrites) {
+  const uint64_t seed = 61 + SeedOffset();
+  const Script script = MakeScript(seed);
+  Rng rng(seed);
+  SimulatedDisk disk(512);
+  auto dc = DynamicCollection::Create(&disk, "dyn", Docs(script.initial));
+  ASSERT_TRUE(dc.ok()) << dc.status();
+  // Keys 1..10 are the base; the inserts get 11 and 12.
+  for (const Op& op : {Op{true, RandomCells(&rng, 4, 24), 0},
+                       Op{false, {}, 3},
+                       Op{true, RandomCells(&rng, 4, 24), 0}}) {
+    ASSERT_TRUE(ApplyOp(dc->get(), op).ok());
+  }
+  const DynamicJoinSide view = FrozenJoinSide(**dc);
+  ASSERT_FALSE(view.clean());
+  auto before = ViewSimilarity(view, nullptr, HardestConfig());
+  ASSERT_TRUE(before.ok()) << before.status();
+
+  for (const Op& op : {Op{false, {}, 7}, Op{false, {}, 1},
+                       Op{true, RandomCells(&rng, 4, 24), 0},
+                       Op{false, {}, 11}}) {
+    ASSERT_TRUE(ApplyOp(dc->get(), op).ok());
+  }
+  ASSERT_TRUE((*dc)->Compact().ok());
+
+  auto after = ViewSimilarity(view, nullptr, HardestConfig());
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(TermFactorBits(*after), TermFactorBits(*before));
+  EXPECT_EQ(NormBits(*after, view), NormBits(*before, view));
+
+  const DynamicJoinSide fresh = FrozenJoinSide(**dc);
+  auto now = ViewSimilarity(fresh, nullptr, HardestConfig());
+  ASSERT_TRUE(now.ok()) << now.status();
+  EXPECT_NE(TermFactorBits(*now), TermFactorBits(*before));
 }
 
 // A delta on the outer side, joined to a static inner narrowed by an

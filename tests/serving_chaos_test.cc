@@ -308,8 +308,8 @@ void VerifyQueriesAgainstCheckpoints(
 // rebuild at its admission epoch; every acked write lands.
 // ---------------------------------------------------------------------------
 
-TEST(ServingChaosTest, ChurnTraceIsBitIdenticalAtEveryAdmissionEpoch) {
-  const uint64_t seed = 4242 + SeedOffset();
+// One run of the churn trace drawn from `seed`, scored under `config`.
+void RunChurnTrace(uint64_t seed, const SimilarityConfig& config) {
   const Workload w = MakeWorkload(seed, 24, 8);
   Rng rng(seed ^ 0x9E3779B97F4A7C15ull);
 
@@ -376,7 +376,7 @@ TEST(ServingChaosTest, ChurnTraceIsBitIdenticalAtEveryAdmissionEpoch) {
     q.collection = "dyn";
     q.cells = w.queries[rng.NextBounded(w.queries.size())];
     q.lambda = 5;
-    q.similarity = w.config;
+    q.similarity = config;
     q.arrival_ms = arrival;
     submitted.push_back(q.cells);
     ASSERT_TRUE(scheduler.Submit(q).ok());
@@ -417,8 +417,22 @@ TEST(ServingChaosTest, ChurnTraceIsBitIdenticalAtEveryAdmissionEpoch) {
   }
   EXPECT_GT(completed, 20);
   ASSERT_EQ(records->size(), submitted.size());
-  VerifyQueriesAgainstCheckpoints(*records, submitted, 5, w.config,
+  VerifyQueriesAgainstCheckpoints(*records, submitted, 5, config,
                                   checkpoints);
+}
+
+// The same trace under every cosine x idf configuration, so idf is scored
+// under writes and compaction at every seed.
+TEST(ServingChaosTest, ChurnTraceIsBitIdenticalAtEveryAdmissionEpoch) {
+  const uint64_t seed = 4242 + SeedOffset();
+  for (const bool cosine : {false, true}) {
+    for (const bool idf : {false, true}) {
+      SCOPED_TRACE(std::string("cosine=") + (cosine ? "1" : "0") +
+                   " idf=" + (idf ? "1" : "0"));
+      RunChurnTrace(seed, SimilarityConfig{cosine, idf});
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@
 #include "storage/disk_manager.h"
 #include "storage/reliable_disk.h"
 #include "common/logging.h"
+#include "common/math_util.h"
 #include "exec/admission.h"
 #include "exec/governor.h"
 #include "cost/cost_model.h"
@@ -686,13 +687,6 @@ int RunServe(Args& args) {
     }
   }
   std::sort(latencies.begin(), latencies.end());
-  auto pct = [&](double q) {
-    if (latencies.empty()) return 0.0;
-    size_t idx = static_cast<size_t>(
-        q * static_cast<double>(latencies.size()));
-    if (idx >= latencies.size()) idx = latencies.size() - 1;
-    return latencies[idx];
-  };
   const auto& cache_stats = scheduler.cache()->stats();
   std::printf("served %lld queries at %.0f qps offered "
               "(%.1f ms simulated makespan)\n",
@@ -712,8 +706,10 @@ int RunServe(Args& args) {
   std::printf("shared scans: %lld piggybacked / %lld fetched\n",
               static_cast<long long>(scheduler.registrar().total_shared()),
               static_cast<long long>(scheduler.registrar().total_fetches()));
-  std::printf("latency ms: p50=%.2f p99=%.2f p999=%.2f max_queue_wait=%.2f\n",
-              pct(0.50), pct(0.99), pct(0.999), max_queue_wait);
+  std::printf("latency ms: p50=%s p99=%s p999=%s max_queue_wait=%.2f\n",
+              Percentile(latencies, 0.50).c_str(),
+              Percentile(latencies, 0.99).c_str(),
+              Percentile(latencies, 0.999).c_str(), max_queue_wait);
   if (churn) {
     int64_t inserts = 0, deletes = 0, compacts = 0, wfailed = 0;
     int64_t slices = 0;
