@@ -204,13 +204,16 @@ BENCHMARK(BM_AccumulateEntry)->Arg(64)->Arg(1024);
 
 // Counting replacements of the global allocation functions, for
 // BM_BlockDecodeZeroAlloc. operator new[] funnels through operator new by
-// default, so these four cover every heap allocation in the process.
-void* operator new(std::size_t n) {
+// default, so these cover every heap allocation in the process. They stay
+// out of line: inlined into this file's new-expressions, GCC 12 sees
+// malloc or free where it expects operator new or delete and warns
+// -Wmismatched-new-delete, though both sides are these replacements.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   textjoin::g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
-void* operator new(std::size_t n, std::align_val_t align) {
+[[gnu::noinline]] void* operator new(std::size_t n, std::align_val_t align) {
   textjoin::g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
   void* p = nullptr;
   if (posix_memalign(&p, static_cast<std::size_t>(align), n ? n : 1) != 0) {
@@ -218,10 +221,15 @@ void* operator new(std::size_t n, std::align_val_t align) {
   }
   return p;
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::align_val_t) noexcept {
+  std::free(p);
+}
+[[gnu::noinline]] void operator delete(void* p, std::size_t,
+                                       std::align_val_t) noexcept {
   std::free(p);
 }
 

@@ -10,7 +10,6 @@ namespace {
 
 // Shared quantities in bytes.
 struct CommDerived {
-  double m;            // participating outer documents
   double docs1_bytes;  // whole C1 as documents
   double docs2_bytes;  // participating C2 documents
   double inv1_bytes;   // inverted file on C1
@@ -24,27 +23,22 @@ CommDerived Derive(const CostInputs& in, double term_expansion) {
   CommDerived d;
   const double N1 = static_cast<double>(in.c1.num_documents);
   const double N2 = static_cast<double>(in.c2.num_documents);
-  d.m = in.participating_outer < 0
-            ? N2
-            : std::min(static_cast<double>(in.participating_outer), N2);
+  const double m = ParticipatingOuter(in);
   const double cell = static_cast<double>(kDCellBytes) * term_expansion;
   d.docs1_bytes = N1 * in.c1.avg_terms_per_doc * cell;
-  d.docs2_bytes = d.m * in.c2.avg_terms_per_doc * cell;
+  d.docs2_bytes = m * in.c2.avg_terms_per_doc * cell;
   d.inv1_bytes = d.docs1_bytes;  // same cell count, |d#| == |t#|
   d.inv2_bytes = N2 * in.c2.avg_terms_per_doc * cell;
   d.btree1_bytes =
       9.0 * static_cast<double>(in.c1.num_distinct_terms) * term_expansion;
-  // Needed entries: q * T2' of average length L1 = K1*N1/T1 cells.
+  // Needed entries (HvnlNeededEntries) of average length L1 = K1*N1/T1
+  // cells.
   const double T1 = std::max(
       1.0, static_cast<double>(in.c1.num_distinct_terms));
-  const double needed_terms =
-      d.m < N2 ? in.q * DistinctTermsAfter(d.m, in.c2.avg_terms_per_doc,
-                                           in.c2.num_distinct_terms)
-               : in.q * static_cast<double>(in.c2.num_distinct_terms);
   const double entry_len_cells = in.c1.avg_terms_per_doc * N1 / T1;
-  d.needed_entry_bytes = needed_terms * entry_len_cells * cell;
+  d.needed_entry_bytes = HvnlNeededEntries(in) * entry_len_cells * cell;
   // Result rows: (document number, 4-byte similarity) per match.
-  d.result_bytes = d.m * static_cast<double>(in.query.lambda) *
+  d.result_bytes = m * static_cast<double>(in.query.lambda) *
                    (3.0 + static_cast<double>(kSimilarityBytes));
   return d;
 }

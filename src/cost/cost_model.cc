@@ -11,34 +11,14 @@ namespace textjoin {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-AlgorithmCost Infeasible(std::string note) {
-  AlgorithmCost c;
-  c.seq = kInf;
-  c.rand = kInf;
-  c.feasible = false;
-  c.note = std::move(note);
-  return c;
-}
-
-// Shared per-evaluation quantities.
-struct Derived {
-  double P;      // page size
-  double B;      // buffer pages
+// Shared per-evaluation quantities: the memory formulas' sizes plus the
+// collection and device quantities of the cost formulas.
+struct Derived : MemoryInputs {
   double alpha;
-  double lambda;
-  double delta;
-  double N1, N2, m;        // m = participating outer documents
-  double K2;
-  double T1, T2;
-  double S1, S2;           // avg document pages
+  double T1, T2;           // distinct terms
   double D1;               // inner collection pages
   double D2_eff;           // pages occupied by participating outer docs
-  double J1, J2;           // avg entry pages
   double I1, I2;           // inverted file pages
-  double Bt1;              // C1 B+tree pages (ceil, it is read whole)
-  double q;
   bool outer_random;
 
   // Cost of bringing in the participating outer documents once.
@@ -52,32 +32,32 @@ struct Derived {
 
 Derived MakeDerived(const CostInputs& in) {
   Derived d;
-  d.P = static_cast<double>(in.sys.page_size);
-  d.B = static_cast<double>(in.sys.buffer_pages);
+  static_cast<MemoryInputs&>(d) = MemoryInputsOf(in);
   d.alpha = in.sys.alpha;
-  d.lambda = static_cast<double>(in.query.lambda);
-  d.delta = in.query.delta;
-  d.N1 = static_cast<double>(in.c1.num_documents);
-  d.N2 = static_cast<double>(in.c2.num_documents);
-  d.m = in.participating_outer < 0
-            ? d.N2
-            : std::min(static_cast<double>(in.participating_outer), d.N2);
-  d.K2 = in.c2.avg_terms_per_doc;
   d.T1 = static_cast<double>(in.c1.num_distinct_terms);
   d.T2 = static_cast<double>(in.c2.num_distinct_terms);
-  d.S1 = in.c1.AvgDocPages(in.sys.page_size);
-  d.S2 = in.c2.AvgDocPages(in.sys.page_size);
   d.D1 = in.c1.CollectionPages(in.sys.page_size);
   d.D2_eff = d.m * d.S2;
-  d.J1 = in.c1.AvgEntryPages(in.sys.page_size);
-  d.J2 = in.c2.AvgEntryPages(in.sys.page_size);
   d.I1 = in.c1.InvertedFilePages(in.sys.page_size);
   d.I2 = in.c2.InvertedFilePages(in.sys.page_size);
-  d.Bt1 = static_cast<double>(CeilPages(in.c1.BTreePages(in.sys.page_size)));
-  d.q = in.q;
   d.outer_random = in.outer_reads_random;
   return d;
 }
+
+// The cost whose totals are the sums of `phases`.
+AlgorithmCost Summed(std::string note, std::vector<PhaseCost> phases) {
+  AlgorithmCost c;
+  for (const PhaseCost& p : phases) {
+    c.seq += p.seq;
+    c.rand += p.rand;
+  }
+  c.note = std::move(note);
+  c.phases = std::move(phases);
+  return c;
+}
+
+// floor() with protection against 49.999999-style floating-point error.
+double FloorEps(double x) { return std::floor(x + 1e-9); }
 
 }  // namespace
 
@@ -91,6 +71,22 @@ const char* AlgorithmName(Algorithm a) {
       return "VVM";
   }
   return "?";
+}
+
+double ParticipatingOuter(const CostInputs& in) {
+  const double N2 = static_cast<double>(in.c2.num_documents);
+  return in.participating_outer < 0
+             ? N2
+             : std::min(static_cast<double>(in.participating_outer), N2);
+}
+
+AlgorithmCost InfeasibleCost(std::string note) {
+  AlgorithmCost c;
+  c.seq = std::numeric_limits<double>::infinity();
+  c.rand = c.seq;
+  c.feasible = false;
+  c.note = std::move(note);
+  return c;
 }
 
 double EstimateTermOverlap(int64_t t_from, int64_t t_to) {
@@ -112,104 +108,147 @@ double DistinctTermsAfter(double m, double avg_terms_per_doc,
   return T - std::pow(ratio, m) * T;
 }
 
-// floor() with protection against 49.999999-style floating-point error.
-static double FloorEps(double x) { return std::floor(x + 1e-9); }
+MemoryInputs MemoryInputsOf(const CostInputs& in) {
+  const int64_t P = in.sys.page_size;
+  MemoryInputs mem;
+  mem.B = static_cast<double>(in.sys.buffer_pages);
+  mem.P = static_cast<double>(P);
+  mem.lambda = static_cast<double>(in.query.lambda);
+  mem.delta = in.query.delta;
+  mem.N1 = static_cast<double>(in.c1.num_documents);
+  mem.m = ParticipatingOuter(in);
+  mem.S1 = in.c1.AvgDocPages(P);
+  mem.S2 = in.c2.AvgDocPages(P);
+  mem.J1 = in.c1.AvgEntryPages(P);
+  mem.J2 = in.c2.AvgEntryPages(P);
+  mem.Bt1 = static_cast<double>(CeilPages(in.c1.BTreePages(P)));
+  return mem;
+}
 
-double HhnlBatchSize(const CostInputs& in) {
-  Derived d = MakeDerived(in);
-  double denom = d.S2 + 4.0 * d.lambda / d.P;
+double HhnlBatchSize(const MemoryInputs& mem) {
+  const double denom = mem.S2 + 4.0 * mem.lambda / mem.P;
   if (denom <= 0.0) return 0.0;
-  return FloorEps((d.B - std::ceil(d.S1)) / denom);
+  return FloorEps((mem.B - std::ceil(mem.S1)) / denom);
+}
+
+double HhnlBackwardBatchSize(const MemoryInputs& mem) {
+  if (mem.S1 <= 0.0) return 0.0;
+  const double heap_pages = 4.0 * mem.lambda * mem.m / mem.P;
+  return FloorEps((mem.B - std::ceil(mem.S2) - heap_pages) / mem.S1);
+}
+
+double HvnlCacheCapacity(const MemoryInputs& mem) {
+  const double accumulator = 4.0 * mem.N1 * mem.delta / mem.P;
+  const double per_entry = mem.J1 + 3.0 / mem.P;  // |t#| = 3 bytes
+  if (per_entry <= 0.0) return 0.0;
+  return FloorEps((mem.B - std::ceil(mem.S2) - mem.Bt1 - accumulator) /
+                  per_entry);
+}
+
+int64_t VvmPasses(const MemoryInputs& mem) {
+  const double M = mem.B - std::ceil(mem.J1) - std::ceil(mem.J2);
+  if (M <= 0.0) return -1;
+  const double SM = 4.0 * mem.delta * mem.N1 * mem.m / mem.P;
+  return std::max<int64_t>(1, CeilPages(SM / M));
+}
+
+double HvnlNeededEntries(const CostInputs& in) {
+  const double m = ParticipatingOuter(in);
+  if (m < static_cast<double>(in.c2.num_documents)) {
+    return in.q * DistinctTermsAfter(m, in.c2.avg_terms_per_doc,
+                                     in.c2.num_distinct_terms);
+  }
+  return in.q * static_cast<double>(in.c2.num_distinct_terms);
+}
+
+double HvnlReadsAfterFill(const CostInputs& in, double X) {
+  const double m = ParticipatingOuter(in);
+  const double K2 = in.c2.avg_terms_per_doc;
+  const double T2 = static_cast<double>(in.c2.num_distinct_terms);
+  auto qf = [&](double mm) {
+    return in.q * DistinctTermsAfter(mm, K2, in.c2.num_distinct_terms);
+  };
+  // Smallest integer s with q*f(s) > X (closed form via logarithms).
+  double s = 1.0;
+  const double ratio = 1.0 - K2 / std::max(T2, 1.0);
+  if (in.q > 0.0 && ratio > 0.0 && ratio < 1.0) {
+    const double arg = 1.0 - X / (in.q * T2);
+    s = arg <= 0.0 ? m : std::floor(std::log(arg) / std::log(ratio)) + 1.0;
+    while (s > 1.0 && qf(s - 1.0) > X) s -= 1.0;
+    while (qf(s) <= X && s < m) s += 1.0;
+  }
+  s = std::min(s, m);
+  const double fs = qf(s), fs1 = qf(s - 1.0);
+  const double X1 = (fs - fs1) > 0.0 ? (X - fs1) / (fs - fs1) : 0.0;
+  const double Y = std::max(qf(s + X1) - X, 0.0);
+  return std::max(m - s - X1 + 1.0, 0.0) * Y;
 }
 
 AlgorithmCost HhnlCost(const CostInputs& in) {
-  Derived d = MakeDerived(in);
-  const double X = HhnlBatchSize(in);
+  const Derived d = MakeDerived(in);
+  const double X = HhnlBatchSize(d);
   if (X < 1.0) {
-    return Infeasible("HHNL: buffer cannot hold one outer + one inner doc");
+    return InfeasibleCost("HHNL: buffer cannot hold one outer + one inner doc");
   }
-  AlgorithmCost c;
+  // hhs = D2 + ceil(N2/X) * D1  (outer scan + repeated inner scans).
   const double scans = std::ceil(d.m / X);
   const double outer = d.OuterDocCost();
-  // hhs = D2 + ceil(N2/X) * D1  (outer scan + repeated inner scans).
-  c.seq = outer + scans * d.D1;
+  PhaseCost scan_inner{phase::kScanInner, scans * d.D1, scans * d.D1};
+  std::string note;
   if (d.m >= X) {
     // Worst case: every inner document read becomes a positioned I/O, plus
     // one positioned I/O per outer batch.
     const double inner_rand = std::min(d.D1, d.N1);
-    c.rand = c.seq + scans * (1.0 + inner_rand) * (d.alpha - 1.0);
-    c.note = "outer does not fit in memory";
+    scan_inner.rand += scans * (1.0 + inner_rand) * (d.alpha - 1.0);
+    note = "outer does not fit in memory";
   } else {
     // Whole outer collection fits; the inner collection is read in blocks
     // using the leftover space, one positioned I/O per block.
     const double leftover = (X - d.m) * d.S2;
     const double blocks = std::ceil(d.D1 / std::max(leftover, 1e-12));
-    c.rand = c.seq + blocks * (d.alpha - 1.0);
-    c.note = "outer fits in memory";
+    scan_inner.rand += blocks * (d.alpha - 1.0);
+    note = "outer fits in memory";
   }
-  return c;
-}
-
-double HhnlBackwardBatchSize(const CostInputs& in) {
-  Derived d = MakeDerived(in);
-  if (d.S1 <= 0.0) return 0.0;
-  const double heap_pages = 4.0 * d.lambda * d.m / d.P;
-  return FloorEps((d.B - std::ceil(d.S2) - heap_pages) / d.S1);
+  return Summed(std::move(note),
+                {{phase::kReadOuter, outer, outer}, scan_inner});
 }
 
 AlgorithmCost HhnlBackwardCost(const CostInputs& in) {
-  Derived d = MakeDerived(in);
-  const double X = HhnlBackwardBatchSize(in);
+  const Derived d = MakeDerived(in);
+  const double X = HhnlBackwardBatchSize(d);
   if (X < 1.0) {
-    return Infeasible(
+    return InfeasibleCost(
         "HHNL backward: buffer cannot hold the per-outer-document heaps "
         "plus one document of each collection");
   }
-  AlgorithmCost c;
+  // The outer collection is re-read once per inner batch. Worst case:
+  // inner documents become positioned reads, plus one positioned read per
+  // outer pass.
   const double scans = std::ceil(d.N1 / X);
-  // The outer collection is re-read once per inner batch.
-  c.seq = d.D1 + scans * d.OuterDocCost();
-  // Worst case: inner documents become positioned reads, plus one
-  // positioned read per outer pass.
   const double inner_rand = std::min(d.D1, d.N1);
   const double outer_rand =
       d.outer_random ? 0.0 : scans * std::min(d.D2_eff, d.m);
-  c.rand = c.seq + (inner_rand + outer_rand) * (d.alpha - 1.0);
-  c.note = std::to_string(static_cast<int64_t>(scans)) +
-           " outer pass(es)";
-  return c;
-}
-
-double HvnlCacheCapacity(const CostInputs& in) {
-  Derived d = MakeDerived(in);
-  const double fixed =
-      std::ceil(d.S2) + d.Bt1 + 4.0 * d.N1 * d.delta / d.P;
-  const double per_entry = d.J1 + 3.0 / d.P;  // |t#| = 3 bytes of term list
-  if (per_entry <= 0.0) return 0.0;
-  return FloorEps((d.B - fixed) / per_entry);
+  const double rescan = scans * d.OuterDocCost();
+  return Summed(
+      std::to_string(static_cast<int64_t>(scans)) + " outer pass(es)",
+      {{phase::kReadInnerBatch, d.D1, d.D1 + inner_rand * (d.alpha - 1.0)},
+       {phase::kRescanOuter, rescan,
+        rescan + outer_rand * (d.alpha - 1.0)}});
 }
 
 AlgorithmCost HvnlCost(const CostInputs& in) {
-  Derived d = MakeDerived(in);
-  const double X = HvnlCacheCapacity(in);
+  const Derived d = MakeDerived(in);
+  const double X = HvnlCacheCapacity(d);
   if (X < 0.0) {
-    return Infeasible(
+    return InfeasibleCost(
         "HVNL: buffer cannot hold B+tree, accumulator and one outer doc");
   }
-  const double outer = d.OuterDocCost();
   const double cJ1 = std::ceil(std::max(d.J1, 1e-12));
-  // Inverted entries of C1 needed over the whole join. The paper uses
-  // T2 * q; with a reduced outer set, only terms of the m participating
-  // documents matter, i.e. q * f(m).
-  const bool reduced = d.m < d.N2;
-  const double needed =
-      reduced ? d.q * DistinctTermsAfter(d.m, d.K2, in.c2.num_distinct_terms)
-              : d.q * d.T2;
-
-  AlgorithmCost c;
+  const double needed = HvnlNeededEntries(in);
+  const double fetch_needed = needed * cJ1 * d.alpha;
+  // Extra cost of reading outer documents with positioned I/Os, using
+  // leftover cache space to read several documents per positioned I/O.
   auto rand_tail = [&](double cache_left_entries) {
-    // Extra cost of reading outer documents with positioned I/Os, using
-    // leftover cache space to read several documents per positioned I/O.
     if (d.outer_random) return 0.0;  // already charged at alpha
     const double left_pages = cache_left_entries * d.J1;
     if (left_pages <= 0.0) {
@@ -218,214 +257,50 @@ AlgorithmCost HvnlCost(const CostInputs& in) {
     return std::ceil(d.D2_eff / left_pages) * (d.alpha - 1.0);
   };
 
+  const double outer = d.OuterDocCost();
+  PhaseCost read_outer{phase::kReadOuter, outer, outer};
+  PhaseCost probe{phase::kProbeEntries, 0, 0};
+  std::string note;
   if (X >= d.T1) {
     // Case 1: the whole inverted file of C1 fits in the cache. Either scan
-    // it in sequentially or fetch only the needed entries randomly.
-    const double scan_all = outer + d.I1 + d.Bt1;
-    const double fetch_needed = outer + needed * cJ1 * d.alpha + d.Bt1;
-    c.seq = std::min(scan_all, fetch_needed);
-    c.rand = std::min(scan_all + rand_tail(X - d.T1),
-                      fetch_needed + rand_tail(X - needed));
-    c.note = "cache holds entire inverted file";
+    // it in sequentially or fetch only the needed entries randomly; the
+    // seq and rand minima may pick different branches.
+    probe.seq = std::min(d.I1, fetch_needed);
+    const double scan_tail = rand_tail(X - d.T1);
+    const double fetch_tail = rand_tail(X - needed);
+    const bool scan = d.I1 + scan_tail <= fetch_needed + fetch_tail;
+    probe.rand = scan ? d.I1 : fetch_needed;
+    read_outer.rand += scan ? scan_tail : fetch_tail;
+    note = "cache holds entire inverted file";
   } else if (X >= needed) {
     // Case 2: all *needed* entries fit; each is fetched exactly once.
-    c.seq = outer + needed * cJ1 * d.alpha + d.Bt1;
-    c.rand = c.seq + rand_tail(X - needed);
-    c.note = "cache holds all needed entries";
+    probe.seq = fetch_needed;
+    probe.rand = fetch_needed;
+    read_outer.rand += rand_tail(X - needed);
+    note = "cache holds all needed entries";
   } else {
-    // Case 3: the cache fills up after the first s + X1 - 1 outer
-    // documents; each later document forces Y fresh entry reads.
-    const double T2f = static_cast<double>(in.c2.num_distinct_terms);
-    auto qf = [&](double mm) {
-      return d.q * DistinctTermsAfter(mm, d.K2, in.c2.num_distinct_terms);
-    };
-    // Smallest integer s with q*f(s) > X (closed form via logarithms).
-    double s;
-    const double ratio = 1.0 - d.K2 / std::max(T2f, 1.0);
-    if (d.q <= 0.0 || ratio <= 0.0 || ratio >= 1.0) {
-      s = 1.0;
-    } else {
-      const double arg = 1.0 - X / (d.q * T2f);
-      s = arg <= 0.0 ? d.m
-                     : std::floor(std::log(arg) / std::log(ratio)) + 1.0;
-      while (s > 1.0 && qf(s - 1.0) > X) s -= 1.0;
-      while (qf(s) <= X && s < d.m) s += 1.0;
-    }
-    s = std::min(s, d.m);
-    const double fs = qf(s), fs1 = qf(s - 1.0);
-    const double X1 = (fs - fs1) > 0.0 ? (X - fs1) / (fs - fs1) : 0.0;
-    const double Y = std::max(qf(s + X1) - X, 0.0);
-    const double remaining = std::max(d.m - s - X1 + 1.0, 0.0);
-    c.seq = outer + X * cJ1 * d.alpha + d.Bt1 +
-            remaining * Y * cJ1 * d.alpha;
-    c.rand = c.seq + (d.outer_random
-                          ? 0.0
-                          : std::min(d.D2_eff, d.m) * (d.alpha - 1.0));
-    c.note = "cache thrashes (case 3)";
+    // Case 3: the cache fills with X entries, then every later outer
+    // document forces fresh entry reads; no cache space is left over.
+    probe.seq = X * cJ1 * d.alpha + HvnlReadsAfterFill(in, X) * cJ1 * d.alpha;
+    probe.rand = probe.seq;
+    read_outer.rand += rand_tail(0.0);
+    note = "cache thrashes (case 3)";
   }
-  return c;
-}
-
-int64_t VvmPasses(const CostInputs& in) {
-  Derived d = MakeDerived(in);
-  const double SM = 4.0 * d.delta * d.N1 * d.m / d.P;
-  const double M = d.B - std::ceil(d.J1) - std::ceil(d.J2);
-  if (M <= 0.0) return -1;
-  return std::max<int64_t>(1, CeilPages(SM / M));
+  return Summed(std::move(note),
+                {read_outer, {phase::kLoadBtree, d.Bt1, d.Bt1}, probe});
 }
 
 AlgorithmCost VvmCost(const CostInputs& in) {
-  Derived d = MakeDerived(in);
-  const int64_t passes = VvmPasses(in);
+  const Derived d = MakeDerived(in);
+  const int64_t passes = VvmPasses(d);
   if (passes < 0) {
-    return Infeasible("VVM: buffer cannot hold two inverted entries");
+    return InfeasibleCost("VVM: buffer cannot hold two inverted entries");
   }
-  AlgorithmCost c;
   const double p = static_cast<double>(passes);
-  c.seq = (d.I1 + d.I2) * p;
-  c.rand = (std::min(d.I1, d.T1) + std::min(d.I2, d.T2)) * d.alpha * p;
-  c.note = std::to_string(passes) + " pass(es)";
-  return c;
-}
-
-namespace {
-
-// The decompositions below re-run the exact case analysis of the cost
-// functions above and split each total across the algorithm's phases, so
-// that sum(phases.seq) == AlgorithmCost.seq and likewise for rand (up to
-// floating-point rounding; stats_accuracy_test enforces this).
-
-std::vector<PhaseCost> HhnlPhases(const CostInputs& in) {
-  Derived d = MakeDerived(in);
-  const double X = HhnlBatchSize(in);
-  if (X < 1.0) return {};
-  const double scans = std::ceil(d.m / X);
-  const double outer = d.OuterDocCost();
-  PhaseCost read_outer{phase::kReadOuter, outer, outer};
-  PhaseCost scan_inner{phase::kScanInner, scans * d.D1, scans * d.D1};
-  if (d.m >= X) {
-    const double inner_rand = std::min(d.D1, d.N1);
-    scan_inner.rand += scans * (1.0 + inner_rand) * (d.alpha - 1.0);
-  } else {
-    const double leftover = (X - d.m) * d.S2;
-    const double blocks = std::ceil(d.D1 / std::max(leftover, 1e-12));
-    scan_inner.rand += blocks * (d.alpha - 1.0);
-  }
-  return {read_outer, scan_inner};
-}
-
-std::vector<PhaseCost> HhnlBackwardPhases(const CostInputs& in) {
-  Derived d = MakeDerived(in);
-  const double X = HhnlBackwardBatchSize(in);
-  if (X < 1.0) return {};
-  const double scans = std::ceil(d.N1 / X);
-  const double inner_rand = std::min(d.D1, d.N1);
-  const double outer_rand =
-      d.outer_random ? 0.0 : scans * std::min(d.D2_eff, d.m);
-  PhaseCost read_inner{phase::kReadInnerBatch, d.D1,
-                       d.D1 + inner_rand * (d.alpha - 1.0)};
-  PhaseCost rescan{phase::kRescanOuter, scans * d.OuterDocCost(),
-                   scans * d.OuterDocCost() + outer_rand * (d.alpha - 1.0)};
-  return {read_inner, rescan};
-}
-
-std::vector<PhaseCost> HvnlPhases(const CostInputs& in) {
-  Derived d = MakeDerived(in);
-  const double X = HvnlCacheCapacity(in);
-  if (X < 0.0) return {};
-  const double outer = d.OuterDocCost();
-  const double cJ1 = std::ceil(std::max(d.J1, 1e-12));
-  const bool reduced = d.m < d.N2;
-  const double needed =
-      reduced ? d.q * DistinctTermsAfter(d.m, d.K2, in.c2.num_distinct_terms)
-              : d.q * d.T2;
-
-  auto rand_tail = [&](double cache_left_entries) {
-    if (d.outer_random) return 0.0;
-    const double left_pages = cache_left_entries * d.J1;
-    if (left_pages <= 0.0) {
-      return std::min(d.D2_eff, d.m) * (d.alpha - 1.0);
-    }
-    return std::ceil(d.D2_eff / left_pages) * (d.alpha - 1.0);
-  };
-
-  PhaseCost read_outer{phase::kReadOuter, outer, outer};
-  PhaseCost btree{phase::kLoadBtree, d.Bt1, d.Bt1};
-  PhaseCost probe{phase::kProbeEntries, 0, 0};
-  if (X >= d.T1) {
-    // Case 1: the seq and rand minima may pick different branches; each
-    // variant decomposes along its own argmin so sums stay exact.
-    const double probe_scan = d.I1;
-    const double probe_fetch = needed * cJ1 * d.alpha;
-    probe.seq = std::min(probe_scan, probe_fetch);
-    const double rand_scan = probe_scan + rand_tail(X - d.T1);
-    const double rand_fetch = probe_fetch + rand_tail(X - needed);
-    if (rand_scan <= rand_fetch) {
-      probe.rand = probe_scan;
-      read_outer.rand += rand_tail(X - d.T1);
-    } else {
-      probe.rand = probe_fetch;
-      read_outer.rand += rand_tail(X - needed);
-    }
-  } else if (X >= needed) {
-    probe.seq = needed * cJ1 * d.alpha;
-    probe.rand = probe.seq;
-    read_outer.rand += rand_tail(X - needed);
-  } else {
-    // Case 3 repeats the thrashing math of HvnlCost.
-    const double T2f = static_cast<double>(in.c2.num_distinct_terms);
-    auto qf = [&](double mm) {
-      return d.q * DistinctTermsAfter(mm, d.K2, in.c2.num_distinct_terms);
-    };
-    double s;
-    const double ratio = 1.0 - d.K2 / std::max(T2f, 1.0);
-    if (d.q <= 0.0 || ratio <= 0.0 || ratio >= 1.0) {
-      s = 1.0;
-    } else {
-      const double arg = 1.0 - X / (d.q * T2f);
-      s = arg <= 0.0 ? d.m
-                     : std::floor(std::log(arg) / std::log(ratio)) + 1.0;
-      while (s > 1.0 && qf(s - 1.0) > X) s -= 1.0;
-      while (qf(s) <= X && s < d.m) s += 1.0;
-    }
-    s = std::min(s, d.m);
-    const double fs = qf(s), fs1 = qf(s - 1.0);
-    const double X1 = (fs - fs1) > 0.0 ? (X - fs1) / (fs - fs1) : 0.0;
-    const double Y = std::max(qf(s + X1) - X, 0.0);
-    const double remaining = std::max(d.m - s - X1 + 1.0, 0.0);
-    probe.seq = X * cJ1 * d.alpha + remaining * Y * cJ1 * d.alpha;
-    probe.rand = probe.seq;
-    read_outer.rand += d.outer_random
-                           ? 0.0
-                           : std::min(d.D2_eff, d.m) * (d.alpha - 1.0);
-  }
-  return {read_outer, btree, probe};
-}
-
-std::vector<PhaseCost> VvmPhases(const CostInputs& in) {
-  Derived d = MakeDerived(in);
-  const int64_t passes = VvmPasses(in);
-  if (passes < 0) return {};
-  const double p = static_cast<double>(passes);
-  PhaseCost merge{phase::kMergeScan, (d.I1 + d.I2) * p,
+  return Summed(std::to_string(passes) + " pass(es)",
+                {{phase::kMergeScan, (d.I1 + d.I2) * p,
                   (std::min(d.I1, d.T1) + std::min(d.I2, d.T2)) * d.alpha *
-                      p};
-  return {merge};
-}
-
-}  // namespace
-
-std::vector<PhaseCost> CostPhases(Algorithm algorithm, const CostInputs& in,
-                                  bool hhnl_backward) {
-  switch (algorithm) {
-    case Algorithm::kHhnl:
-      return hhnl_backward ? HhnlBackwardPhases(in) : HhnlPhases(in);
-    case Algorithm::kHvnl:
-      return HvnlPhases(in);
-    case Algorithm::kVvm:
-      return VvmPhases(in);
-  }
-  return {};
+                      p}});
 }
 
 const AlgorithmCost& CostComparison::of(Algorithm a) const {

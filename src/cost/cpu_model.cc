@@ -10,7 +10,7 @@ namespace {
 struct CpuDerived {
   double m;        // participating outer documents
   double N1, K1, T1;
-  double K2, T2;
+  double K2;
   double L1;       // average entry length on C1, in cells
   double common;   // expected common terms of a pair: q*K2*K1/T1
   double delta;
@@ -23,11 +23,7 @@ CpuDerived Derive(const CostInputs& in) {
   d.K1 = in.c1.avg_terms_per_doc;
   d.T1 = std::max(1.0, static_cast<double>(in.c1.num_distinct_terms));
   d.K2 = in.c2.avg_terms_per_doc;
-  d.T2 = std::max(1.0, static_cast<double>(in.c2.num_distinct_terms));
-  d.m = in.participating_outer < 0
-            ? static_cast<double>(in.c2.num_documents)
-            : static_cast<double>(std::min<int64_t>(
-                  in.participating_outer, in.c2.num_documents));
+  d.m = ParticipatingOuter(in);
   d.L1 = d.K1 * d.N1 / d.T1;
   d.q = in.q;
   // Expected common terms of a pair. Under uniform term usage this is
@@ -63,31 +59,16 @@ CpuEstimate HvnlCpuCost(const CostInputs& in) {
   // cache or disk; the cell volume is the same per-pair accumulation
   // count as the other algorithms (m * N1 * common).
   e.accumulations = d.m * d.N1 * d.common;
-  // Merge-walk visits: each outer document walks its q*K2 probed entries
-  // end to end, L1 cells each.
+  // Posting-cell visits: each outer document scatters along its q*K2
+  // probed entries, L1 cells each.
   e.cell_compares = d.m * d.q * d.K2 * d.L1;
   // Only entries actually fetched from disk are decoded. Reuse the I/O
   // model's casework: fetched entries = needed when they all fit, else
-  // the cache fills (X) and every later document reads Y fresh entries.
+  // the cache fills (X) and every later document reads fresh entries.
   const double X = std::max(0.0, HvnlCacheCapacity(in));
-  const double needed =
-      d.q * (d.m < static_cast<double>(in.c2.num_documents)
-                 ? DistinctTermsAfter(d.m, d.K2, in.c2.num_distinct_terms)
-                 : d.T2);
-  double fetched;
-  if (X >= needed) {
-    fetched = needed;
-  } else {
-    auto qf = [&](double mm) {
-      return d.q * DistinctTermsAfter(mm, d.K2, in.c2.num_distinct_terms);
-    };
-    double s = 1;
-    while (qf(s) <= X && s < d.m) s += 1;
-    const double fs = qf(s), fs1 = qf(s - 1);
-    const double X1 = (fs - fs1) > 0 ? (X - fs1) / (fs - fs1) : 0.0;
-    const double Y = std::max(qf(s + X1) - X, 0.0);
-    fetched = X + std::max(d.m - s - X1 + 1.0, 0.0) * Y;
-  }
+  const double needed = HvnlNeededEntries(in);
+  const double fetched =
+      X >= needed ? needed : X + HvnlReadsAfterFill(in, X);
   e.cells_decoded = fetched * d.L1;
   // Per outer document the accumulator holds ~delta*N1 non-zero scores.
   e.heap_offers = d.m * d.delta * d.N1;
@@ -107,11 +88,11 @@ CpuEstimate VvmCpuCost(const CostInputs& in) {
   const double cells2 =
       d.K2 * static_cast<double>(in.c2.num_documents);
   e.cells_decoded = cells2 + passes * cells1;
-  // Merge-walk visits: every C2 cell is checked against its pass's filter,
-  // and each participating outer cell walks its shared C1 entry (L1 cells)
-  // in the one pass that owns it.
-  const double walk_visits = d.m * d.q * d.K2 * d.L1;
-  e.cell_compares = cells2 + walk_visits;
+  // Posting-cell visits: every C2 cell is checked against its pass's
+  // filter, and each participating outer cell scatters along its shared C1
+  // entry (L1 cells) in the one pass that owns it.
+  const double entry_visits = d.m * d.q * d.K2 * d.L1;
+  e.cell_compares = cells2 + entry_visits;
   e.heap_offers = d.m * d.delta * d.N1;
   return e;
 }

@@ -14,7 +14,8 @@ namespace textjoin {
 struct CpuStats {
   // Cell visits. HHNL: each resident d-cell once when its batch is
   // indexed, and each streamed d-cell once per batch it probes (join/
-  // hhnl.h). HVNL and VVM: merge-walk visits over inverted cells.
+  // hhnl.h). HVNL and VVM: posting-cell visits, every cell of each entry
+  // or block they scatter along or pass-filter.
   int64_t cell_compares = 0;
   // Similarity accumulations: one multiply-add into a running pair score.
   int64_t accumulations = 0;

@@ -29,6 +29,28 @@ int64_t EffectiveBufferPages(const JoinContext& ctx) {
   return ctx.governor->CapBufferPages(ctx.sys.buffer_pages);
 }
 
+MemoryInputs MeasuredMemory(const JoinContext& ctx, const JoinSpec& spec) {
+  MemoryInputs mem;
+  mem.B = static_cast<double>(EffectiveBufferPages(ctx));
+  mem.P = static_cast<double>(ctx.sys.page_size);
+  mem.lambda = static_cast<double>(spec.lambda);
+  mem.delta = spec.delta;
+  mem.N1 = static_cast<double>(ctx.inner->num_documents());
+  mem.m = spec.outer_subset.empty()
+              ? static_cast<double>(ctx.outer->num_documents())
+              : static_cast<double>(spec.outer_subset.size());
+  mem.S1 = ctx.inner->avg_doc_size_pages();
+  mem.S2 = ctx.outer->avg_doc_size_pages();
+  if (ctx.inner_index != nullptr) {
+    mem.J1 = ctx.inner_index->avg_entry_size_pages();
+    mem.Bt1 = static_cast<double>(ctx.inner_index->btree().size_in_pages());
+  }
+  if (ctx.outer_index != nullptr) {
+    mem.J2 = ctx.outer_index->avg_entry_size_pages();
+  }
+  return mem;
+}
+
 Status GovernorCheckpoint(const JoinContext& ctx, const char* where) {
   if (ctx.governor == nullptr) return Status::OK();
   return ctx.governor->Checkpoint(where);

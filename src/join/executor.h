@@ -147,6 +147,13 @@ Status CheckPostingDocs(std::span<const ICell> cells, int64_t num_docs);
 // still produce identical results.
 int64_t EffectiveBufferPages(const JoinContext& ctx);
 
+// The sizes the executors measure, passed to the cost model's memory
+// formulas (cost/cost_model.h MemoryInputs): B = EffectiveBufferPages,
+// the collections' average document pages, the inverted files' average
+// entry pages and C1's B+tree pages (0 for an absent inverted file), and
+// m = the participating outer documents.
+MemoryInputs MeasuredMemory(const JoinContext& ctx, const JoinSpec& spec);
+
 // Cooperative cancellation point for executor loops; OK when the context
 // carries no governor.
 Status GovernorCheckpoint(const JoinContext& ctx, const char* where);

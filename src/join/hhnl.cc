@@ -1,7 +1,6 @@
 #include "join/hhnl.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -13,15 +12,9 @@
 namespace textjoin {
 
 int64_t HhnlJoin::BatchSize(const JoinContext& ctx, const JoinSpec& spec) {
-  const double P = static_cast<double>(ctx.sys.page_size);
   // Under a governor memory budget the batch is sized from the capped
   // buffer: a smaller X, more outer batches, identical results.
-  const double B = static_cast<double>(EffectiveBufferPages(ctx));
-  const double s1 = std::ceil(ctx.inner->avg_doc_size_pages());
-  const double s2 = ctx.outer->avg_doc_size_pages();
-  const double denom = s2 + 4.0 * static_cast<double>(spec.lambda) / P;
-  if (denom <= 0.0) return 0;
-  return static_cast<int64_t>(std::floor((B - s1) / denom + 1e-9));
+  return static_cast<int64_t>(HhnlBatchSize(MeasuredMemory(ctx, spec)));
 }
 
 Result<JoinResult> HhnlJoin::Run(const JoinContext& ctx,
@@ -106,17 +99,11 @@ Result<JoinResult> HhnlJoin::RunBackward(const JoinContext& ctx,
                                          const JoinSpec& spec) {
   const std::vector<DocId> participating = ParticipatingOuterDocs(ctx, spec);
   const bool random_outer = !spec.outer_subset.empty();
-  const double P = static_cast<double>(ctx.sys.page_size);
-  const double B = static_cast<double>(EffectiveBufferPages(ctx));
-  const double s1 = ctx.inner->avg_doc_size_pages();
-  const double s2 = std::ceil(ctx.outer->avg_doc_size_pages());
-  const double heap_pages = 4.0 * static_cast<double>(spec.lambda) *
-                            static_cast<double>(participating.size()) / P;
-  if (s1 <= 0.0) {
+  const MemoryInputs mem = MeasuredMemory(ctx, spec);
+  if (mem.S1 <= 0.0) {
     return Status::InvalidArgument("backward HHNL: empty inner documents");
   }
-  const int64_t X =
-      static_cast<int64_t>(std::floor((B - s2 - heap_pages) / s1 + 1e-9));
+  const int64_t X = static_cast<int64_t>(HhnlBackwardBatchSize(mem));
   if (X < 1) {
     return Status::ResourceExhausted(
         "HHNL backward: buffer cannot hold intermediate heaps plus one "

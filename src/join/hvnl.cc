@@ -90,21 +90,9 @@ class EntryCache {
 
 int64_t HvnlJoin::CacheCapacity(const JoinContext& ctx,
                                 const JoinSpec& spec) {
-  const double P = static_cast<double>(ctx.sys.page_size);
   // A governor memory budget shrinks the entry cache: more entry
   // re-fetches, identical results.
-  const double B = static_cast<double>(EffectiveBufferPages(ctx));
-  const double s2 = std::ceil(ctx.outer->avg_doc_size_pages());
-  const double bt1 =
-      static_cast<double>(ctx.inner_index->btree().size_in_pages());
-  const double accum = 4.0 *
-                       static_cast<double>(ctx.inner->num_documents()) *
-                       spec.delta / P;
-  const double j1 = ctx.inner_index->avg_entry_size_pages();
-  const double per_entry = j1 + 3.0 / P;
-  if (per_entry <= 0.0) return 0;
-  return static_cast<int64_t>(
-      std::floor((B - s2 - bt1 - accum) / per_entry + 1e-9));
+  return static_cast<int64_t>(HvnlCacheCapacity(MeasuredMemory(ctx, spec)));
 }
 
 Result<JoinResult> HvnlJoin::Run(const JoinContext& ctx,

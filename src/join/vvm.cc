@@ -1,7 +1,6 @@
 #include "join/vvm.h"
 
 #include <algorithm>
-#include <cmath>
 #include <span>
 
 #include "common/logging.h"
@@ -12,20 +11,9 @@
 namespace textjoin {
 
 int64_t VvmJoin::Passes(const JoinContext& ctx, const JoinSpec& spec) {
-  const double P = static_cast<double>(ctx.sys.page_size);
   // A governor memory budget shrinks the matrix partition M: more, smaller
   // passes over the same data, identical results.
-  const double B = static_cast<double>(EffectiveBufferPages(ctx));
-  const double M = B - std::ceil(ctx.inner_index->avg_entry_size_pages()) -
-                   std::ceil(ctx.outer_index->avg_entry_size_pages());
-  if (M <= 0.0) return -1;
-  const double m =
-      spec.outer_subset.empty()
-          ? static_cast<double>(ctx.outer->num_documents())
-          : static_cast<double>(spec.outer_subset.size());
-  const double SM = 4.0 * spec.delta *
-                    static_cast<double>(ctx.inner->num_documents()) * m / P;
-  return std::max<int64_t>(1, CeilPages(SM / M));
+  return VvmPasses(MeasuredMemory(ctx, spec));
 }
 
 Result<JoinResult> VvmJoin::Run(const JoinContext& ctx,

@@ -88,13 +88,11 @@ std::string RenderExplainAnalyze(const ExplainPlan& plan,
   const AlgorithmCost& chosen =
       plan.hhnl_backward ? plan.hhnl_backward_cost
                          : plan.costs.of(plan.algorithm);
-  const std::vector<PhaseCost> predicted =
-      CostPhases(plan.algorithm, plan.inputs, plan.hhnl_backward);
 
   // Pair predicted and measured phases by label, keeping the predicted
   // order first, then any measured-only phases in execution order.
   std::vector<Row> rows;
-  for (const PhaseCost& p : predicted) {
+  for (const PhaseCost& p : chosen.phases) {
     Row r;
     r.label = p.label;
     r.has_pred = true;

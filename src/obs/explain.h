@@ -43,11 +43,12 @@ struct ExplainOptions {
 
 // Renders the paper-verification table: the chosen plan with the cost
 // model's per-phase prediction (sequential and worst-case random
-// variants, cost/cost_model.h CostPhases) side by side with the measured
-// per-phase cost from `stats`, plus the relative error of the sequential
-// prediction. Measured phases the model does not predict (and vice versa)
-// render with '-' in the missing columns; I/O the executor performed
-// outside any phase shows as "(unattributed)".
+// variants: the chosen AlgorithmCost's phases, whose sums are its totals)
+// side by side with the measured per-phase cost from `stats`, plus the
+// relative error of the sequential prediction. Measured phases the model
+// does not predict (and vice versa) render with '-' in the missing
+// columns; I/O the executor performed outside any phase shows as
+// "(unattributed)".
 std::string RenderExplainAnalyze(const ExplainPlan& plan,
                                  const QueryStats& stats,
                                  const ExplainOptions& options = {});

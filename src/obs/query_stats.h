@@ -20,9 +20,10 @@ namespace textjoin {
 // phases. Each executor reports its logical phases (outer reads, inner
 // scans, B+tree load, entry probes, merge passes ...) through the
 // QueryStatsCollector below; the EXPLAIN ANALYZE renderer (obs/explain.h)
-// pairs each phase with the cost model's predicted term of the same label
-// (cost/cost_model.h CostPhases), turning every run into a live accuracy
-// check of the paper's formulas.
+// pairs each phase with the cost model's phase of the same label
+// (cost/cost_model.h AlgorithmCost::phases, the terms each formula is the
+// sum of), turning every run into a live accuracy check of the paper's
+// formulas.
 
 // One named counter, e.g. {"cache_hits", 512}. Counters keep insertion
 // order so reports are stable.

@@ -1,6 +1,5 @@
 #include "planner/planner.h"
 
-#include <limits>
 #include <sstream>
 
 #include "cost/statistics.h"
@@ -39,48 +38,36 @@ Result<PlanChoice> JoinPlanner::Plan(const JoinContext& ctx,
   PlanChoice choice;
   choice.inputs = in;
   choice.costs = CompareCosts(in);
-  if (options_.consider_backward_hhnl && spec.inner_subset.empty()) {
+  if (spec.inner_subset.empty()) {
     choice.hhnl_backward_cost = HhnlBackwardCost(in);
-    const double fwd = options_.use_random_model ? choice.costs.hhnl.rand
-                                                 : choice.costs.hhnl.seq;
-    const double bwd = options_.use_random_model
-                           ? choice.hhnl_backward_cost.rand
-                           : choice.hhnl_backward_cost.seq;
-    if (choice.hhnl_backward_cost.feasible && bwd < fwd) {
+    if (choice.hhnl_backward_cost.feasible &&
+        choice.hhnl_backward_cost.seq < choice.costs.hhnl.seq) {
       choice.hhnl_backward = true;
       choice.costs.hhnl = choice.hhnl_backward_cost;
     }
   }
   // An algorithm is only eligible if its inputs exist in this context.
   if (ctx.inner_index == nullptr) {
-    choice.costs.hvnl.feasible = false;
-    choice.costs.hvnl.seq = std::numeric_limits<double>::infinity();
-    choice.costs.hvnl.rand = choice.costs.hvnl.seq;
-    choice.costs.hvnl.note = "no inverted file on C1";
+    choice.costs.hvnl = InfeasibleCost("no inverted file on C1");
   }
   if (ctx.inner_index == nullptr || ctx.outer_index == nullptr) {
-    choice.costs.vvm.feasible = false;
-    choice.costs.vvm.seq = std::numeric_limits<double>::infinity();
-    choice.costs.vvm.rand = choice.costs.vvm.seq;
-    choice.costs.vvm.note = "missing an inverted file";
+    choice.costs.vvm = InfeasibleCost("missing an inverted file");
   }
-  choice.algorithm = options_.use_random_model ? choice.costs.BestRandom()
-                                               : choice.costs.BestSequential();
+  choice.algorithm = choice.costs.BestSequential();
   if (!choice.costs.of(choice.algorithm).feasible) {
     return Status::ResourceExhausted(
         "no algorithm is feasible with this buffer size");
   }
 
   std::ostringstream os;
-  os << "estimated cost (pages, "
-     << (options_.use_random_model ? "random" : "sequential") << " model): ";
+  os << "estimated cost (pages, sequential model): ";
   auto show = [&](Algorithm a) {
     const AlgorithmCost& c = choice.costs.of(a);
     os << AlgorithmName(a) << "=";
     if (!c.feasible) {
       os << "infeasible";
     } else {
-      os << static_cast<int64_t>(options_.use_random_model ? c.rand : c.seq);
+      os << static_cast<int64_t>(c.seq);
     }
     os << " ";
   };
@@ -108,8 +95,7 @@ Result<JoinResult> JoinPlanner::Execute(const JoinContext& ctx,
         choice.algorithm,
         choice.algorithm == Algorithm::kHhnl && choice.hhnl_backward, ctx,
         spec);
-    if (result.ok() || !options_.allow_fallback ||
-        !IsIoFailure(result.status())) {
+    if (result.ok() || !IsIoFailure(result.status())) {
       if (chosen != nullptr) *chosen = choice;
       return result;
     }
@@ -119,15 +105,10 @@ Result<JoinResult> JoinPlanner::Execute(const JoinContext& ctx,
     const Algorithm failed = choice.algorithm;
     choice.fallbacks.push_back(
         FallbackEvent{failed, result.status().message()});
-    AlgorithmCost& cost = choice.costs.of(failed);
-    cost.feasible = false;
-    cost.seq = std::numeric_limits<double>::infinity();
-    cost.rand = cost.seq;
-    cost.note = "failed at run time: " + result.status().message();
+    choice.costs.of(failed) =
+        InfeasibleCost("failed at run time: " + result.status().message());
     if (failed == Algorithm::kHhnl) choice.hhnl_backward = false;
-    choice.algorithm = options_.use_random_model
-                           ? choice.costs.BestRandom()
-                           : choice.costs.BestSequential();
+    choice.algorithm = choice.costs.BestSequential();
     if (!choice.costs.of(choice.algorithm).feasible) {
       if (chosen != nullptr) *chosen = choice;
       return Status(result.status().code(),

@@ -23,7 +23,7 @@ struct PlanChoice {
   AlgorithmCost hhnl_backward_cost;
   CostInputs inputs;
   std::string explanation;
-  // Run-time degradation history (see Options::allow_fallback): every
+  // Run-time degradation history (see JoinPlanner::Execute): every
   // algorithm that failed with an I/O error before `algorithm` succeeded.
   std::vector<FallbackEvent> fallbacks;
 
@@ -44,31 +44,21 @@ struct AnalyzedJoin {
 
 class JoinPlanner {
  public:
-  struct Options {
-    // Rank by the worst-case random-I/O cost instead of the sequential
-    // cost (a busy-device deployment).
-    bool use_random_model = false;
-    // Also consider the backward HHNL order (Section 4.1) and run it when
-    // it is estimated cheaper than the forward order.
-    bool consider_backward_hhnl = true;
-    // Graceful degradation: when the chosen algorithm fails with an I/O
-    // error (UNAVAILABLE / DATA_LOSS, e.g. a permanently failed inverted
-    // file), mark it infeasible and re-plan with the next-cheapest
-    // algorithm whose inputs are still readable. Each step is recorded in
-    // PlanChoice::fallbacks and surfaced by EXPLAIN ANALYZE.
-    bool allow_fallback = true;
-  };
-
-  JoinPlanner() : JoinPlanner(Options{}) {}
-  explicit JoinPlanner(Options options) : options_(options) {}
-
-  // Estimates all three costs for this join. Algorithms whose required
-  // inverted files are absent from the context are marked infeasible.
+  // Estimates all three costs for this join and picks the cheapest under
+  // the sequential model. Without an inner subset, HHNL runs in the
+  // backward order (Section 4.1) when that order is estimated cheaper.
+  // Algorithms whose required inverted files are absent from the context
+  // are marked infeasible.
   Result<PlanChoice> Plan(const JoinContext& ctx, const JoinSpec& spec) const;
 
   // Plans and runs the chosen algorithm. If `chosen` is non-null the plan
   // is reported through it. When ctx.stats is set, the executor reports
   // its phases into it (Execute does not Finish() the collector).
+  // Graceful degradation: when the chosen algorithm fails with an I/O
+  // error (UNAVAILABLE / DATA_LOSS, e.g. a permanently failed inverted
+  // file), it is marked infeasible and the join re-planned with the
+  // next-cheapest algorithm whose inputs are still readable. Each step is
+  // recorded in PlanChoice::fallbacks and surfaced by EXPLAIN ANALYZE.
   Result<JoinResult> Execute(const JoinContext& ctx, const JoinSpec& spec,
                              PlanChoice* chosen = nullptr) const;
 
@@ -79,9 +69,6 @@ class JoinPlanner {
   Result<AnalyzedJoin> ExecuteAnalyze(
       const JoinContext& ctx, const JoinSpec& spec,
       const ExplainOptions& options = {}) const;
-
- private:
-  Options options_;
 };
 
 }  // namespace textjoin

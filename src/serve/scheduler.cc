@@ -9,11 +9,17 @@
 #include "common/logging.h"
 #include "dynamic/compaction.h"
 #include "dynamic/delta_join.h"
+#include "join/executor.h"
 #include "storage/disk.h"
 
 namespace textjoin {
 
 namespace {
+
+// Simulated cost of applying one insert/delete (WAL append + delta
+// update). Writes run on the same single-core timeline as queries, so each
+// one delays every in-flight query by this much.
+constexpr double kMsPerWrite = 0.05;
 
 // The accumulator holds one double per inner document; its footprint in
 // pages is what the governor's memory budget caps (forcing multi-partition
@@ -367,7 +373,7 @@ void QueryScheduler::ApplyWriteOp(PendingWrite* write,
   switch (write->write.kind) {
     case ServeWrite::Kind::kInsert: {
       Result<DocKey> key = dc->Insert(write->doc);
-      Advance(options_.ms_per_write);
+      Advance(kMsPerWrite);
       if (!key.ok()) {
         // WAL-first: the in-memory state did not change, but the WAL
         // writer must not be reused after a failed append.
@@ -384,7 +390,7 @@ void QueryScheduler::ApplyWriteOp(PendingWrite* write,
     }
     case ServeWrite::Kind::kDelete: {
       Status st = dc->Delete(write->write.key);
-      Advance(options_.ms_per_write);
+      Advance(kMsPerWrite);
       if (!st.ok()) {
         // A missing key is a semantic miss, not a broken log.
         if (st.code() != StatusCode::kNotFound) served->wounded = true;
@@ -408,9 +414,7 @@ void QueryScheduler::ApplyWriteOp(PendingWrite* write,
       c.write = write;
       c.served = served;
       c.job = std::move(job).value();
-      GovernorLimits limits;
-      limits.memory_budget_pages = options_.compact_memory_budget_pages;
-      c.governor = std::make_unique<QueryGovernor>(limits);
+      c.governor = std::make_unique<QueryGovernor>(GovernorLimits{});
       if (write->write.foreground) {
         // The stall the background path exists to avoid: every slice runs
         // back to back at arrival, with no query stepping in between.
@@ -614,7 +618,14 @@ Result<double> QueryScheduler::StepTask(Task* task) {
   const double qw = static_cast<double>(qc.weight);
   for (const ICell& ic : *fetched.value().cells) {
     if (ic.doc < task->part_lo) continue;
-    if (ic.doc >= task->part_hi) break;  // i-cells ascend by document
+    if (ic.doc >= task->part_hi) {
+      // i-cells ascend by document, so this cell ends the partition. In
+      // the last one it names no base document of the snapshot, and the
+      // query fails with DATA_LOSS, as HVNL and VVM do.
+      TEXTJOIN_RETURN_IF_ERROR(CheckPostingDocs(
+          {&ic, 1}, task->snap->view.base->num_documents()));
+      break;
+    }
     task->acc[static_cast<size_t>(ic.doc - task->part_lo)] +=
         qw * static_cast<double>(ic.weight) * factor;
   }
@@ -929,9 +940,7 @@ Result<std::vector<QueryRecord>> QueryScheduler::Run() {
       }
       // Background pacing: one slice per round, unless queries are queued
       // behind the ones running — then the compaction yields its slot.
-      bool paused = options_.compact_pause_on_queue && !parked.empty() &&
-                    !active.empty();
-      if (!paused) step_compactions();
+      if (parked.empty() || active.empty()) step_compactions();
     }
     any_shed_ = false;
     TEXTJOIN_RETURN_IF_ERROR(poll_parked());

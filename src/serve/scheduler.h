@@ -60,8 +60,8 @@ namespace textjoin {
 // completed query is therefore bit-identical — scores AND tie-breaks — to
 // a from-scratch rebuild of the collection at its admission epoch.
 // Compactions run as background CompactionJobs (dynamic/compaction.h): one
-// bounded slice per scheduler round, under a QueryGovernor memory budget,
-// pausing while admission has queued queries, crash-safe at every slice
+// bounded slice per scheduler round, under a QueryGovernor that can cancel
+// it, pausing while admission has queued queries, crash-safe at every slice
 // boundary; queries keep executing against the old generation, which their
 // snapshots pin alive across the swap.
 //
@@ -87,21 +87,13 @@ struct ServeOptions {
   // Simulated cost model of one step.
   double ms_per_page = 0.1;
   double ms_per_step = 0.01;
-  // Simulated cost of applying one insert/delete (WAL append + delta
-  // update). Writes run on the same single-core timeline as queries, so
-  // each one delays every in-flight query by this much.
-  double ms_per_write = 0.05;
-  // Background compaction: documents copied per slice, simulated cost of
-  // one slice, and the job's memory budget in pages (0 = unbounded; a
-  // small budget shrinks the per-slice copy count below
-  // compact_docs_per_slice).
+  // Background compaction: documents copied per slice and simulated cost
+  // of one slice. Slices pause while admission has queued queries (they
+  // get the cycles instead).
   int64_t compact_docs_per_slice = 64;
   double compact_ms_per_slice = 0.25;
-  int64_t compact_memory_budget_pages = 0;
-  // Overload handling: pause compaction slices while admission has queued
-  // queries (they get the cycles instead), and abort the compaction
-  // outright when a query is shed (sacrifice the rewrite to shed load).
-  bool compact_pause_on_queue = true;
+  // Overload handling: abort the compaction outright when a query is shed
+  // (sacrifice the rewrite to shed load).
   bool compact_abort_on_shed = false;
   // Bounded retry-with-backoff for admission-shed queries
   // (exec/retry_admission.h). max_attempts = 0 sheds immediately,

@@ -6,9 +6,7 @@
 #include <vector>
 
 #include "exec/governor.h"
-#include "join/hhnl.h"
-#include "join/hvnl.h"
-#include "join/vvm.h"
+#include "join/executor.h"
 #include "planner/planner.h"
 #include "storage/disk_manager.h"
 #include "storage/reliable_disk.h"
@@ -27,25 +25,6 @@ using testing_util::RandomCollection;
 uint64_t SeedOffset() {
   const char* s = std::getenv("TEXTJOIN_CHAOS_SEED");
   return s != nullptr ? std::strtoull(s, nullptr, 10) : 0;
-}
-
-Result<JoinResult> RunAlgorithm(Algorithm algorithm, const JoinContext& ctx,
-                                const JoinSpec& spec) {
-  switch (algorithm) {
-    case Algorithm::kHhnl: {
-      HhnlJoin join;
-      return join.Run(ctx, spec);
-    }
-    case Algorithm::kHvnl: {
-      HvnlJoin join;
-      return join.Run(ctx, spec);
-    }
-    case Algorithm::kVvm: {
-      VvmJoin join;
-      return join.Run(ctx, spec);
-    }
-  }
-  return Status::Internal("unknown algorithm");
 }
 
 // The deterministic chaos harness: every algorithm, several seeds, fault
@@ -72,7 +51,7 @@ TEST_P(ChaosSweepTest, RecoversOrFailsCleanly) {
   JoinContext ctx = f->Context(60);
 
   // The ground truth, computed fault-free.
-  auto clean = RunAlgorithm(algorithm, ctx, spec);
+  auto clean = RunAlgorithm(algorithm, false, ctx, spec);
   ASSERT_TRUE(clean.ok()) << clean.status();
 
   FaultSchedule schedule;
@@ -84,7 +63,7 @@ TEST_P(ChaosSweepTest, RecoversOrFailsCleanly) {
   base.set_fault_schedule(schedule);
   base.ResetHeads();
   disk.ResetStats();
-  auto recovered = RunAlgorithm(algorithm, ctx, spec);
+  auto recovered = RunAlgorithm(algorithm, false, ctx, spec);
   if (recovered.ok()) {
     EXPECT_EQ(*recovered, *clean)
         << AlgorithmName(algorithm) << " returned a wrong result under "
@@ -103,7 +82,7 @@ TEST_P(ChaosSweepTest, RecoversOrFailsCleanly) {
   base.set_fault_schedule(schedule);
   base.ResetHeads();
   disk.ResetStats();
-  auto exposed = RunAlgorithm(algorithm, ctx, spec);
+  auto exposed = RunAlgorithm(algorithm, false, ctx, spec);
   if (faults_fired) {
     EXPECT_FALSE(exposed.ok())
         << AlgorithmName(algorithm)
@@ -179,7 +158,7 @@ TEST(ChaosCorruptionTest, PostingBlockBitFlipsSurfaceAsDataLoss) {
     for (const Algorithm a : {Algorithm::kHvnl, Algorithm::kVvm}) {
       base.ResetHeads();
       disk.ResetStats();
-      auto r = RunAlgorithm(a, ctx, spec);
+      auto r = RunAlgorithm(a, false, ctx, spec);
       ASSERT_FALSE(r.ok())
           << AlgorithmName(a)
           << " returned a result from corrupt posting blocks";
@@ -191,7 +170,7 @@ TEST(ChaosCorruptionTest, PostingBlockBitFlipsSurfaceAsDataLoss) {
 
     base.ResetHeads();
     disk.ResetStats();
-    auto hhnl = RunAlgorithm(Algorithm::kHhnl, ctx, spec);
+    auto hhnl = RunAlgorithm(Algorithm::kHhnl, false, ctx, spec);
     ASSERT_TRUE(hhnl.ok()) << hhnl.status();
     EXPECT_EQ(*hhnl, expected);
   }
@@ -234,14 +213,6 @@ TEST(PlannerFallbackTest, ReplansAroundDeadInvertedFile) {
   EXPECT_EQ(chosen.fallbacks.front().failed, plan->algorithm);
   EXPECT_NE(chosen.explanation.find("fallback"), std::string::npos)
       << chosen.explanation;
-
-  // With fallback disabled the same failure is terminal.
-  JoinPlanner::Options no_fallback;
-  no_fallback.allow_fallback = false;
-  JoinPlanner strict(no_fallback);
-  auto failed = strict.Execute(ctx, spec);
-  ASSERT_FALSE(failed.ok());
-  EXPECT_TRUE(IsIoFailure(failed.status()));
 }
 
 TEST(PlannerFallbackTest, ExplainAnalyzeShowsFallbackAndRecovery) {
@@ -324,9 +295,7 @@ TEST(ChaosGovernanceTest, RetryBackoffExhaustsDeadline) {
   JoinSpec spec;
   spec.lambda = 3;
   JoinContext ctx = f->Context(60);
-  JoinPlanner::Options no_fallback;
-  no_fallback.allow_fallback = false;
-  JoinPlanner planner(no_fallback);
+  JoinPlanner planner;
 
   // With a deadline: the first retry's backoff blows it.
   {
@@ -346,13 +315,16 @@ TEST(ChaosGovernanceTest, RetryBackoffExhaustsDeadline) {
   }
 
   // Without a deadline: the same schedule burns through its attempts and
-  // surfaces the device error.
+  // surfaces the device error from the executor the planner picks.
   {
     ctx.governor = nullptr;
     base.ResetHeads();
     disk.ResetStats();
+    auto plan = planner.Plan(ctx, spec);
+    ASSERT_TRUE(plan.ok()) << plan.status();
     base.InjectReadFault(5);
-    auto result = planner.Execute(ctx, spec);
+    auto result =
+        RunAlgorithm(plan->algorithm, plan->hhnl_backward, ctx, spec);
     base.ClearReadFault();
     ASSERT_FALSE(result.ok());
     EXPECT_EQ(result.status().code(), StatusCode::kUnavailable)

@@ -84,22 +84,6 @@ TEST(PlannerTest, InfeasibleBufferIsAnError) {
   EXPECT_EQ(plan.status().code(), StatusCode::kResourceExhausted);
 }
 
-TEST(PlannerTest, RandomModelCanChangeRanking) {
-  SimulatedDisk disk(256);
-  auto f = MakeFixture(&disk, RandomCollection(&disk, "c1", 40, 6, 50, 11),
-                       RandomCollection(&disk, "c2", 25, 5, 50, 12));
-  JoinPlanner seq_planner;
-  JoinPlanner rand_planner(JoinPlanner::Options{.use_random_model = true});
-  auto p1 = seq_planner.Plan(f->Context(100), JoinSpec{});
-  auto p2 = rand_planner.Plan(f->Context(100), JoinSpec{});
-  ASSERT_TRUE(p1.ok());
-  ASSERT_TRUE(p2.ok());
-  // Both must pick the minimum under their own metric (ranking itself may
-  // or may not change; the paper's finding 5 says it usually does not).
-  EXPECT_LE(p2->costs.of(p2->algorithm).rand, p2->costs.hhnl.rand);
-  EXPECT_LE(p2->costs.of(p2->algorithm).rand, p2->costs.vvm.rand);
-}
-
 TEST(PlannerTest, BackwardHhnlChosenWhenCheaper) {
   SimulatedDisk disk(256);
   // Small inner, larger outer, a buffer that forces several forward
@@ -123,13 +107,6 @@ TEST(PlannerTest, BackwardHhnlChosenWhenCheaper) {
   auto result = planner.Execute(ctx, spec);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(*result, BruteForceJoin(f->inner, f->outer, f->simctx, spec));
-
-  // Disabling the option keeps the paper's forward order.
-  JoinPlanner forward_only(
-      JoinPlanner::Options{.consider_backward_hhnl = false});
-  auto plan2 = forward_only.Plan(ctx, spec);
-  ASSERT_TRUE(plan2.ok());
-  EXPECT_FALSE(plan2->hhnl_backward);
 }
 
 TEST(PlannerTest, MeasuredOverlapIsUsed) {

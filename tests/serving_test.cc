@@ -33,6 +33,7 @@ namespace textjoin {
 namespace {
 
 using testing_util::BuildCollection;
+using testing_util::DocumentNamedBy;
 using testing_util::RandomCollection;
 
 uint64_t SeedOffset() {
@@ -406,6 +407,40 @@ TEST_F(ServingTest, NonFiniteArrivalsAreRejected) {
   EXPECT_TRUE(records->empty());
   EXPECT_TRUE(s->TakeWriteRecords().empty());
   EXPECT_EQ((*dc)->epoch(), epoch) << "a rejected write must not apply";
+}
+
+// Decode bounds a posting's document number only by kMaxDocId. Serving a
+// 10-document collection with the inverted file of a 30-document
+// collection that shares its first ten documents is corruption: a query on
+// the terms of documents 10-29 fails with DATA_LOSS naming one of them,
+// rather than completing with those cells dropped.
+TEST_F(ServingTest, PostingDocumentBeyondCollectionFailsTheQuery) {
+  const DocumentCollection wide =
+      RandomCollection(&disk_, "wide", 30, 5, 30, 41);
+  std::vector<std::vector<DCell>> head;
+  std::vector<DCell> query;
+  for (DocId d = 0; d < 30; ++d) {
+    auto doc = wide.ReadDocument(d);
+    ASSERT_TRUE(doc.ok()) << doc.status();
+    std::vector<DCell>& into = d < 10 ? head.emplace_back() : query;
+    into.insert(into.end(), doc->cells().begin(), doc->cells().end());
+  }
+  col_.emplace(BuildCollection(&disk_, "docs", head));
+  auto wide_index = InvertedFile::Build(&disk_, "wide.inv", wide);
+  ASSERT_TRUE(wide_index.ok()) << wide_index.status();
+  index_.emplace(std::move(wide_index).value());
+
+  auto s = NewScheduler(ServeOptions());
+  ASSERT_TRUE(s->Submit(MakeQuery(query)).ok());
+  auto records = s->Run();
+  ASSERT_TRUE(records.ok()) << records.status();
+  ASSERT_EQ(records->size(), 1u);
+  const QueryRecord& r = records->front();
+  EXPECT_EQ(r.outcome, "failed");
+  EXPECT_TRUE(r.matches.empty());
+  const int64_t named = DocumentNamedBy(Status::DataLoss(r.error));
+  EXPECT_GE(named, 10) << r.error;
+  EXPECT_LT(named, 30) << r.error;
 }
 
 // ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Property-style accuracy tests for the observability layer: sweeping the
 // buffer size B, the query lambda and the seek weight alpha, (a) the
-// per-phase predicted costs (cost/cost_model.h CostPhases) must sum
-// exactly to the Section 5 totals, (b) the measured cost of every real
+// per-phase predicted costs (cost/cost_model.h AlgorithmCost::phases) must
+// sum exactly to the Section 5 totals, (b) the measured cost of every real
 // executor must stay within an explainable band of the model's sequential
 // prediction, and (c) the QueryStats tree must conserve I/O — the phases
 // account for every page the run touched.
@@ -81,26 +81,22 @@ TEST(StatsAccuracyTest, PhaseDecompositionSumsToTotalsExactly) {
         SCOPED_TRACE(ComboName(B, lambda, alpha));
 
         struct Case {
-          Algorithm algorithm;
-          bool backward;
+          const char* name;
           AlgorithmCost total;
         };
         const Case cases[] = {
-            {Algorithm::kHhnl, false, HhnlCost(in)},
-            {Algorithm::kHhnl, true, HhnlBackwardCost(in)},
-            {Algorithm::kHvnl, false, HvnlCost(in)},
-            {Algorithm::kVvm, false, VvmCost(in)},
+            {"HHNL", HhnlCost(in)},
+            {"HHNL backward", HhnlBackwardCost(in)},
+            {"HVNL", HvnlCost(in)},
+            {"VVM", VvmCost(in)},
         };
         for (const Case& c : cases) {
           if (!c.total.feasible) continue;
-          auto phases = CostPhases(c.algorithm, in, c.backward);
-          ASSERT_FALSE(phases.empty());
-          EXPECT_NEAR(PhaseSeqSum(phases), c.total.seq, 1e-6)
-              << AlgorithmName(c.algorithm)
-              << (c.backward ? " backward" : "");
-          EXPECT_NEAR(PhaseRandSum(phases), c.total.rand, 1e-6)
-              << AlgorithmName(c.algorithm)
-              << (c.backward ? " backward" : "");
+          ASSERT_FALSE(c.total.phases.empty()) << c.name;
+          EXPECT_NEAR(PhaseSeqSum(c.total.phases), c.total.seq, 1e-6)
+              << c.name;
+          EXPECT_NEAR(PhaseRandSum(c.total.phases), c.total.rand, 1e-6)
+              << c.name;
         }
       }
     }
